@@ -66,13 +66,15 @@ def _load_budgets():
 def _assert_detached(mode):
     """No observer session may leak into a detached-mode measurement."""
     if mode == "telemetry-detached":
-        from repro.sim.telemetry.session import active_session
+        from repro.sim.telemetry.session import TelemetrySession
 
-        assert active_session() is None, "a TelemetrySession leaked into this test"
+        session = TelemetrySession.active()
+        assert session is None, "a TelemetrySession leaked into this test"
     elif mode == "faults-detached":
-        from repro.sim.faults import active_session
+        from repro.sim.faults import FaultSession
 
-        assert active_session() is None, "a FaultSession leaked into this test"
+        session = FaultSession.active()
+        assert session is None, "a FaultSession leaked into this test"
 
 
 def _best_of(name, trials=TRIALS):

@@ -9,8 +9,10 @@ written. This module opens three windows into a running fleet:
   simulated time, and instruction counts. Writes are atomic
   (``tmp`` + ``os.replace``), so a reader never sees a torn file, and a
   final beat with phase ``done``/``error`` marks completion. The writer
-  is a daemon thread sampling the worker's live machine (registered via
-  :func:`repro.sim.system.add_machine_observer`); it only *reads*
+  is a daemon thread sampling the worker's live machine (it sees every
+  machine built through the machine-observer list,
+  :func:`repro.sim.observers.add_machine_observer`, the same hook the
+  telemetry, fault and flight-recorder sessions use); it only *reads*
   scheduler time and stats counters, so the simulation stays
   bit-identical.
 
@@ -33,8 +35,9 @@ import sys
 import threading
 import time
 
-from repro.sim.system import add_machine_observer, remove_machine_observer
+from repro.sim.observers import add_machine_observer, remove_machine_observer
 from repro.sim.telemetry.log import get_logger
+from repro.sim.telemetry.session import TelemetrySession
 
 _log = get_logger("monitor")
 
@@ -244,13 +247,11 @@ def _live_request_p95(machine):
     thread by design -- plain dict/attribute reads under the GIL -- so
     any torn iteration is simply skipped until the next beat.
     """
-    from repro.sim.telemetry.session import active_session
-
-    session = active_session()
+    session = TelemetrySession.active()
     if session is None:
         return None
     try:
-        for telemetry in reversed(session.telemetries):
+        for telemetry in reversed(session.attached):
             if telemetry.machine is not machine:
                 continue
             out = {}

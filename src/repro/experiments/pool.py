@@ -69,7 +69,10 @@ from dataclasses import dataclass, field
 from repro.experiments import retry as retry_taxonomy
 from repro.experiments.backends import WorkerDeath, make_backend
 from repro.experiments.retry import RetryPolicy
+from repro.sim.faults import FaultSession
+from repro.sim.telemetry.flightrec import FlightRecorderSession
 from repro.sim.telemetry.log import ensure_run_logging, get_logger, new_run_id
+from repro.sim.telemetry.session import TelemetrySession
 from repro.workloads.common import RunResult, StudyResult
 
 _log = get_logger("pool")
@@ -229,9 +232,7 @@ def _execute_job(job):
         "telemetry_machines": 0,
         "faults_injected": 0,
     }
-    telemetry_session = None
-    fault_session = None
-    flight_session = None
+    telemetry = faults = flightrec = None
     heartbeat = None
     profiler = None
     if job.get("log_path"):
@@ -252,23 +253,22 @@ def _execute_job(job):
             ).start()
         module_name, _, fn_name = job["fn"].partition(":")
         fn = getattr(importlib.import_module(module_name), fn_name)
-        if job.get("faults"):
-            from repro.sim.faults import FaultSession
-
-            fault_session = FaultSession(job["faults"]).install()
         if job.get("telemetry"):
-            from repro.sim.telemetry import TelemetrySession
-
-            telemetry_session = TelemetrySession().install()
+            telemetry = TelemetrySession()
+        if job.get("faults"):
+            faults = FaultSession(job["faults"])
         if job.get("flightrec"):
-            from repro.sim.telemetry.flightrec import FlightRecorderSession
-
-            flight_session = FlightRecorderSession(job["flightrec"]).install()
+            flightrec = FlightRecorderSession(job["flightrec"])
         if job.get("profile"):
             from repro.perf.profile import ProfileHarness
 
             profiler = ProfileHarness()
+        # Each machine the run builds gets its telemetry, then its fault
+        # controller, then its flight recorder: installation order.
+        sessions = [s for s in (telemetry, faults, flightrec) if s is not None]
         try:
+            for session in sessions:
+                session.install()
             if heartbeat is not None:
                 heartbeat.beat(phase="simulating")
             if profiler is not None:
@@ -278,12 +278,8 @@ def _execute_job(job):
         finally:
             if heartbeat is not None:
                 heartbeat.phase = "artifacts"
-            if flight_session is not None:
-                flight_session.uninstall()
-            if telemetry_session is not None:
-                telemetry_session.uninstall()
-            if fault_session is not None:
-                fault_session.uninstall()
+            for session in sessions:
+                session.uninstall()
         outcome["result"] = encode_result(result)
     except Exception as exc:
         outcome["status"] = "error"
@@ -302,9 +298,9 @@ def _execute_job(job):
             },
         )
         # The flight recorder's whole purpose: a crash leaves evidence.
-        if flight_session is not None and job.get("postmortem_dir"):
+        if flightrec is not None and job.get("postmortem_dir"):
             try:
-                path = flight_session.save_postmortem(job["postmortem_dir"], error=exc)
+                path = flightrec.save_postmortem(job["postmortem_dir"], error=exc)
                 if path is not None:
                     outcome["postmortem"] = path
             except Exception as post_exc:
@@ -317,18 +313,18 @@ def _execute_job(job):
     artifacts = job.get("artifacts")
     if artifacts is not None:
         try:
-            if telemetry_session is not None and telemetry_session.telemetries:
-                telemetry_session.save(artifacts)
-                outcome["telemetry_machines"] = len(telemetry_session.telemetries)
-            if fault_session is not None and fault_session.controllers:
-                fault_session.save(artifacts)
+            if telemetry is not None and telemetry.attached:
+                telemetry.save(artifacts)
+                outcome["telemetry_machines"] = len(telemetry.attached)
+            if faults is not None and faults.attached:
+                faults.save(artifacts)
             if profiler is not None and profiler.report is not None:
                 profiler.save(artifacts)
                 outcome["profiled"] = 1
         except Exception as exc:  # artifact IO must not eat the result
             outcome["artifact_error"] = f"{type(exc).__name__}: {exc}"
-    if fault_session is not None:
-        outcome["faults_injected"] = fault_session.total_injected
+    if faults is not None:
+        outcome["faults_injected"] = faults.total_injected
     outcome["elapsed"] = time.perf_counter() - started
     if heartbeat is not None:
         try:

@@ -255,11 +255,6 @@ class SystemConfig:
     #: :class:`~repro.sim.scheduler.DeadlockError` with a diagnostic dump
     #: instead of spinning forever. 0 disables the watchdog.
     watchdog_steps: int = 250_000
-    #: Scheduler implementation: "runlist" (the calendar-queue run-list
-    #: loop, the default) or "heap" (the original per-op binary heap,
-    #: kept as the reference for determinism tests). Both produce
-    #: bit-identical schedules; "runlist" is severalfold faster.
-    scheduler_mode: str = "runlist"
 
     def __post_init__(self):
         self.core.validate()
@@ -269,10 +264,6 @@ class SystemConfig:
             raise ValueError(f"line_size must be a power of two, got {self.line_size}")
         if self.memory.controllers > self.n_tiles:
             raise ValueError("more memory controllers than tiles")
-        if self.scheduler_mode not in ("runlist", "heap"):
-            raise ValueError(
-                f"scheduler_mode must be 'runlist' or 'heap', got {self.scheduler_mode!r}"
-            )
 
     @property
     def mesh_width(self):

@@ -31,10 +31,11 @@ Hook overhead mirrors the event bus: every hot-path hook site guards on
 ``faults is None`` (one attribute load and branch), so a machine with no
 plan attached pays nothing and simulates bit-identically.
 
-:class:`FaultSession` is the process-wide installer (the fault-plan
-analogue of :class:`~repro.sim.telemetry.session.TelemetrySession`):
-while installed, every :class:`~repro.sim.system.Machine` constructed
-gets a fresh :class:`FaultController` for the plan.
+:class:`FaultSession` is the process-wide installer (a
+:class:`~repro.sim.observers.MachineSession`, like
+:class:`~repro.sim.telemetry.session.TelemetrySession`): while
+installed, every :class:`~repro.sim.system.Machine` constructed gets a
+fresh :class:`FaultController` for the plan.
 """
 
 import json
@@ -53,6 +54,7 @@ from repro.sim.events import (
     InvokeRetried,
     InvokeStalled,
 )
+from repro.sim.observers import MachineSession
 from repro.sim.telemetry.log import get_logger
 from repro.sim.telemetry.spans import SpanTracker
 
@@ -487,75 +489,28 @@ class FaultController:
 # ----------------------------------------------------------------------
 # the process-wide session (what --faults installs)
 # ----------------------------------------------------------------------
-_session = None
-
-
-def notify_machine_created(machine):
-    """Called by ``Machine.__init__``; no-op unless a session is installed."""
-    if _session is not None:
-        _session.observe(machine)
-
-
-def active_session():
-    return _session
-
-
-class FaultSession:
+class FaultSession(MachineSession):
     """Attach a fault plan to every machine built while installed."""
 
     def __init__(self, plan):
+        super().__init__()
         if isinstance(plan, str):
             plan = FaultPlan.parse(plan)
         self.plan = plan
-        self.controllers = []
 
-    # -- hook management ------------------------------------------------
-    def install(self):
-        global _session
-        if _session is not None and _session is not self:
-            raise RuntimeError("another FaultSession is already installed")
-        _session = self
-        return self
-
-    def uninstall(self):
-        global _session
-        if _session is self:
-            _session = None
-        return self
-
-    def __enter__(self):
-        return self.install()
-
-    def __exit__(self, *exc):
-        self.uninstall()
-        return False
-
-    # -- collection -----------------------------------------------------
-    def observe(self, machine):
-        controller = self.plan.attach(machine)
-        self.controllers.append(controller)
-        return controller
-
-    def detach(self):
-        for controller in self.controllers:
-            controller.detach()
-        return self
-
-    def reset(self):
-        self.detach()
-        self.controllers = []
-        return self
+    def attach(self, machine):
+        return self.plan.attach(machine)
 
     # -- reporting ------------------------------------------------------
     @property
     def total_injected(self):
-        return sum(controller.total_injected for controller in self.controllers)
+        return sum(controller.total_injected for controller in self.attached)
 
     def report(self):
         return {
             "spec": self.plan.spec(),
             "seed": self.plan.seed,
-            "machines": [controller.report() for controller in self.controllers],
+            "machines": [controller.report() for controller in self.attached],
             "total_injected": self.total_injected,
         }
 

@@ -1,22 +1,23 @@
 """Timestamp-ordered interleaving of simulated contexts.
 
 Two interchangeable scheduler implementations produce bit-identical
-schedules (``SystemConfig.scheduler_mode`` selects one):
+schedules:
 
-- :class:`Scheduler` (``"runlist"``, the default): a calendar queue.
-  Runnable contexts are batched into per-timestamp *run lists* (a dict
-  of FIFO lists keyed by time, plus a small heap of distinct
-  timestamps). Draining a run list executes every same-time context
+- :class:`Scheduler`, the one every :class:`~repro.sim.system.Machine`
+  builds: a calendar queue. Runnable contexts are batched into
+  per-timestamp *run lists* (a dict of FIFO lists keyed by time, plus a
+  small heap of distinct timestamps). Draining a run list executes every same-time context
   back to back without re-heapifying per operation, and the inner
   execute loop is inlined into :meth:`Scheduler.run` with the watchdog
   counter and resume bookkeeping hoisted into locals -- this loop is
   the hottest code in the simulator.
-- :class:`HeapScheduler` (``"heap"``): the original per-entry binary
-  heap of ``(time, seq, ctx)`` tuples, kept as the executable reference
-  for the determinism contract (tests run both and compare schedules).
+- :class:`HeapScheduler`: the original per-entry binary heap of
+  ``(time, seq, ctx)`` tuples, kept as the executable reference for
+  the determinism contract (tests substitute it for ``Scheduler`` and
+  compare schedules).
 
-Ordering contract (both modes): contexts run in timestamp order; ties
-are broken by enqueue order (spawn order at t=0); a running context
+Ordering contract (both schedulers): contexts run in timestamp order;
+ties are broken by enqueue order (spawn order at t=0); a running context
 keeps running while its local time has not passed the earliest pending
 context's time. Contexts block by raising
 :class:`~repro.sim.ops.Park`; :meth:`Scheduler.wake_one` /
@@ -370,9 +371,9 @@ class HeapScheduler(Scheduler):
 
     One heap entry per runnable context, ordered by ``(time, seq)``;
     ``seq`` is a global enqueue counter, so ties break by enqueue order
-    -- the contract the run-list scheduler reproduces. Selected with
-    ``scheduler_mode="heap"``; the determinism tests run both modes on
-    the same workload and require identical schedules.
+    -- the contract the run-list scheduler reproduces. The determinism
+    tests build machines with it in place of :class:`Scheduler`, run
+    the same workload on both, and require identical schedules.
     """
 
     __slots__ = ("_heap", "_seq")
@@ -456,10 +457,3 @@ class HeapScheduler(Scheduler):
 
     def runnable_snapshot(self):
         return [(ctx, time) for time, _seq, ctx in self._heap]
-
-
-def make_scheduler(machine):
-    """Build the scheduler selected by ``machine.config.scheduler_mode``."""
-    if getattr(machine.config, "scheduler_mode", "runlist") == "heap":
-        return HeapScheduler(machine)
-    return Scheduler(machine)

@@ -13,34 +13,12 @@ engines and installs its hierarchy hooks.
 from repro.sim.address import AddressSpace
 from repro.sim.energy import EnergyModel
 from repro.sim.events import EventBus
-from repro.sim.faults import notify_machine_created as notify_fault_session
 from repro.sim.hierarchy import Hierarchy
-from repro.sim.scheduler import make_scheduler
+from repro.sim.observers import machine_observers
+from repro.sim.scheduler import Scheduler
 from repro.sim.stats import Stats
-from repro.sim.telemetry.session import notify_machine_created
 from repro.sim.thread import InlineContext
 from repro.sim.tile import Tile
-
-#: Generic machine-construction observers (beyond the telemetry and
-#: fault sessions): each callable receives every Machine built while
-#: registered. Used by the flight recorder and the heartbeat monitor;
-#: the list is empty by default, so an unobserved build pays one empty
-#: loop.
-_machine_observers = []
-
-
-def add_machine_observer(fn):
-    """Call ``fn(machine)`` for every machine built from now on."""
-    _machine_observers.append(fn)
-    return fn
-
-
-def remove_machine_observer(fn):
-    """Stop observing (no-op if ``fn`` was never registered)."""
-    try:
-        _machine_observers.remove(fn)
-    except ValueError:
-        pass
 
 
 class Machine:
@@ -75,7 +53,7 @@ class Machine:
         #: hierarchy so every component can cache the reference.
         self.events = EventBus()
         self.hierarchy = Hierarchy(self)
-        self.scheduler = make_scheduler(self)
+        self.scheduler = Scheduler(self)
         # Hot-path dispatch caches: sub-config references resolved once
         # (``compute_latency`` runs once per Compute/Branch op).
         self._core_cfg = config.core
@@ -108,11 +86,9 @@ class Machine:
         #: ``request.latency.<class>``. Declared via
         #: :func:`repro.sim.telemetry.requests.declare_request_classes`.
         self.request_classes = None
-        # Last: hand the fully-built machine to any installed telemetry
-        # or fault session (module-global checks; no-ops when inactive).
-        notify_machine_created(self)
-        notify_fault_session(self)
-        for observer in _machine_observers:
+        # Last: hand the fully-built machine to every registered
+        # observer (installed sessions, heartbeat writers).
+        for observer in machine_observers:
             observer(self)
 
     # ------------------------------------------------------------------

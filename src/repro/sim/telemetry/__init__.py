@@ -8,10 +8,7 @@ attribute load per potential emit and allocates nothing. Attach a
 builds (what ``--telemetry-out`` does).
 """
 
-from repro.sim.telemetry.flightrec import (
-    FlightRecorder,
-    FlightRecorderSession,
-)
+from repro.sim.telemetry.flightrec import FlightRecorder, FlightRecorderSession
 from repro.sim.telemetry.log import (
     configure_run_logging,
     get_logger,
@@ -34,12 +31,7 @@ from repro.sim.telemetry.requests import (
     RequestLatencyProbe,
     declare_request_classes,
 )
-from repro.sim.telemetry.session import (
-    Telemetry,
-    TelemetrySession,
-    active_session,
-    notify_machine_created,
-)
+from repro.sim.telemetry.session import Telemetry, TelemetrySession
 from repro.sim.telemetry.spans import Span, SpanTracker
 
 __all__ = [
@@ -59,8 +51,6 @@ __all__ = [
     "SpanTracker",
     "Telemetry",
     "TelemetrySession",
-    "active_session",
-    "notify_machine_created",
     "chrome_trace",
     "write_chrome_trace",
     "validate_chrome_trace",

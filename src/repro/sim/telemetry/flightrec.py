@@ -20,10 +20,14 @@ ring into a machine-readable dict combining
 - a stats-counter snapshot, and
 - the fault controller's report when a plan was armed,
 
-which :meth:`save_postmortem` writes as ``postmortem.json``. The
-experiment pool arms a :class:`FlightRecorderSession` in every worker
-when ``--flight-recorder`` is set, so a crash that happened in a
-subprocess hours into a sweep still leaves structured evidence behind.
+which :meth:`save_postmortem` writes as ``postmortem.json``. A
+:class:`FlightRecorderSession` (a
+:class:`~repro.sim.observers.MachineSession`) attaches a recorder to
+every machine built while it is installed; the experiment pool installs
+one in every worker when ``--flight-recorder`` is set, so a crash that
+happened in a subprocess hours into a sweep still leaves structured
+evidence behind. Either way, writing a postmortem logs one
+``flightrec.postmortem`` record.
 """
 
 import dataclasses
@@ -31,6 +35,7 @@ import json
 import os
 
 from repro.sim import events as _events
+from repro.sim.observers import MachineSession
 from repro.sim.telemetry.log import get_logger
 
 _log = get_logger("flightrec")
@@ -50,6 +55,41 @@ def event_vocabulary():
         if isinstance(obj, type) and dataclasses.is_dataclass(obj)
     ]
     return sorted(types, key=lambda t: t.__name__)
+
+
+def _header(reason, error):
+    """The fields every postmortem payload starts with."""
+    if not reason:
+        reason = (
+            getattr(error, "kind", None) or type(error).__name__
+            if error is not None
+            else "requested"
+        )
+    return {
+        "schema": POSTMORTEM_SCHEMA,
+        "kind": "leviathan-postmortem",
+        "reason": reason,
+        "error": (
+            {"type": type(error).__name__, "message": str(error)}
+            if error is not None
+            else None
+        ),
+    }
+
+
+def _write_postmortem(outdir, payload, events):
+    """Write ``payload`` as ``outdir/postmortem.json`` and log the write;
+    ``events`` is how many ring events it carries. Returns the path."""
+    os.makedirs(outdir, exist_ok=True)
+    path = os.path.join(outdir, "postmortem.json")
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    _log.info(
+        "flightrec.postmortem",
+        extra={"path": path, "reason": payload["reason"], "events": events},
+    )
+    return path
 
 
 def _json_safe(value):
@@ -119,53 +159,27 @@ class FlightRecorder:
         (a :class:`~repro.sim.scheduler.DeadlockError` carries its own
         ``kind``/``snapshot``; anything else is reported by type).
         """
-        snapshot = None
-        if error is not None:
-            snapshot = getattr(error, "snapshot", None)
-            if reason is None:
-                reason = getattr(error, "kind", None) or type(error).__name__
+        snapshot = getattr(error, "snapshot", None)
         if snapshot is None:
             snapshot = self.machine.stall_snapshot()
         faults = self.machine.faults
-        return {
-            "schema": POSTMORTEM_SCHEMA,
-            "kind": "leviathan-postmortem",
-            "reason": reason or "requested",
-            "label": self.label,
-            "error": (
-                {"type": type(error).__name__, "message": str(error)}
-                if error is not None
-                else None
-            ),
-            "sim_time": self.machine.scheduler.now,
-            "ring_capacity": self.capacity,
-            "events_seen": self.events_seen,
-            "events": self.recent_events(),
-            "stall": snapshot,
-            "stats": {
-                key: value
-                for key, value in sorted(self.machine.stats.counters.items())
-            },
-            "fault_report": faults.report() if faults is not None else None,
-        }
+        payload = _header(reason, error)
+        payload.update(
+            label=self.label,
+            sim_time=self.machine.scheduler.now,
+            ring_capacity=self.capacity,
+            events_seen=self.events_seen,
+            events=self.recent_events(),
+            stall=snapshot,
+            stats=dict(sorted(self.machine.stats.counters.items())),
+            fault_report=faults.report() if faults is not None else None,
+        )
+        return payload
 
     def save_postmortem(self, outdir, reason=None, error=None):
         """Write ``postmortem.json`` into ``outdir``; returns the path."""
-        os.makedirs(outdir, exist_ok=True)
-        path = os.path.join(outdir, "postmortem.json")
         payload = self.postmortem(reason=reason, error=error)
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        _log.info(
-            "flightrec.postmortem",
-            extra={
-                "path": path,
-                "reason": payload["reason"],
-                "events": len(payload["events"]),
-            },
-        )
-        return path
+        return _write_postmortem(outdir, payload, len(payload["events"]))
 
     def __repr__(self):
         return (
@@ -177,105 +191,35 @@ class FlightRecorder:
 # ----------------------------------------------------------------------
 # the process-wide session (what --flight-recorder installs)
 # ----------------------------------------------------------------------
-_session = None
-
-
-def active_session():
-    return _session
-
-
-class FlightRecorderSession:
+class FlightRecorderSession(MachineSession):
     """Attach a flight recorder to every machine built while installed."""
 
     def __init__(self, capacity=DEFAULT_CAPACITY):
+        super().__init__()
         self.capacity = int(capacity) if capacity else DEFAULT_CAPACITY
-        self.recorders = []
 
-    # -- hook management ------------------------------------------------
-    def install(self):
-        # Imported lazily: system.py imports this package's siblings, so
-        # a module-level import would be order-sensitive.
-        from repro.sim.system import add_machine_observer
-
-        global _session
-        if _session is not None and _session is not self:
-            raise RuntimeError("another FlightRecorderSession is already installed")
-        if _session is None:
-            add_machine_observer(self.observe)
-        _session = self
-        return self
-
-    def uninstall(self):
-        from repro.sim.system import remove_machine_observer
-
-        global _session
-        if _session is self:
-            remove_machine_observer(self.observe)
-            _session = None
-        return self
-
-    def __enter__(self):
-        return self.install()
-
-    def __exit__(self, *exc):
-        self.uninstall()
-        return False
-
-    # -- collection -----------------------------------------------------
-    def observe(self, machine, label=None):
-        recorder = FlightRecorder(
+    def attach(self, machine):
+        return FlightRecorder(
             machine,
             capacity=self.capacity,
-            label=label or f"machine-{len(self.recorders):02d}",
+            label=f"machine-{len(self.attached):02d}",
         )
-        self.recorders.append(recorder)
-        return recorder
-
-    def detach(self):
-        for recorder in self.recorders:
-            recorder.detach()
-        return self
-
-    def reset(self):
-        self.detach()
-        self.recorders = []
-        return self
 
     # -- artifacts ------------------------------------------------------
     def postmortem(self, reason=None, error=None):
         """One payload covering every recorded machine."""
-        return {
-            "schema": POSTMORTEM_SCHEMA,
-            "kind": "leviathan-postmortem",
-            "reason": (
-                reason
-                or (getattr(error, "kind", None) or type(error).__name__
-                    if error is not None else "requested")
-            ),
-            "error": (
-                {"type": type(error).__name__, "message": str(error)}
-                if error is not None
-                else None
-            ),
-            "machines": [
-                recorder.postmortem(reason=reason, error=error)
-                for recorder in self.recorders
-            ],
-        }
+        payload = _header(reason, error)
+        payload["machines"] = [
+            recorder.postmortem(reason=reason, error=error)
+            for recorder in self.attached
+        ]
+        return payload
 
     def save_postmortem(self, outdir, reason=None, error=None):
         """Write a combined ``postmortem.json``; returns the path (or
         None when no machine was recorded -- nothing to report)."""
-        if not self.recorders:
+        if not self.attached:
             return None
-        os.makedirs(outdir, exist_ok=True)
-        path = os.path.join(outdir, "postmortem.json")
-        with open(path, "w") as handle:
-            json.dump(
-                self.postmortem(reason=reason, error=error),
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-        return path
+        payload = self.postmortem(reason=reason, error=error)
+        events = sum(len(machine["events"]) for machine in payload["machines"])
+        return _write_postmortem(outdir, payload, events)

@@ -12,11 +12,11 @@ the three artifacts a run produces:
 :class:`TelemetrySession` scales that to whole experiment runs: while
 *installed*, every :class:`~repro.sim.system.Machine` constructed
 anywhere in the process gets a ``Telemetry`` attached automatically
-(the construction hook is a single module-global check, so the
-uninstalled cost is one ``is None`` test per machine, and zero per
-event). ``session.save(outdir)`` then writes one artifact directory
-per machine. This is what the experiment runner's ``--telemetry-out``
-flag drives.
+through the machine-observer list (:mod:`repro.sim.observers`; an
+uninstalled session costs nothing per machine or per event).
+``session.save(outdir)`` then writes one artifact directory per
+machine. This is what the experiment runner's ``--telemetry-out`` flag
+drives.
 
 Telemetry is an observer: it subscribes to the bus and reads machine
 state, but never advances time or mutates anything, so simulated
@@ -46,6 +46,7 @@ from repro.sim.events import (
     StreamPush,
     WatchdogFired,
 )
+from repro.sim.observers import MachineSession
 from repro.sim.telemetry.critpath import (
     AccessCostModel,
     AttributionRollup,
@@ -462,69 +463,21 @@ class Telemetry:
 # ----------------------------------------------------------------------
 # the process-wide session (what --telemetry-out installs)
 # ----------------------------------------------------------------------
-_session = None
-
-
-def notify_machine_created(machine):
-    """Called by ``Machine.__init__``; no-op unless a session is installed."""
-    if _session is not None:
-        _session.observe(machine)
-
-
-def active_session():
-    return _session
-
-
-class TelemetrySession:
+class TelemetrySession(MachineSession):
     """Attach telemetry to every machine built while installed."""
 
     def __init__(self, window=1024, max_spans=200_000):
+        super().__init__()
         self.window = window
         self.max_spans = max_spans
-        self.telemetries = []
 
-    # -- hook management ------------------------------------------------
-    def install(self):
-        global _session
-        if _session is not None and _session is not self:
-            raise RuntimeError("another TelemetrySession is already installed")
-        _session = self
-        return self
-
-    def uninstall(self):
-        global _session
-        if _session is self:
-            _session = None
-        return self
-
-    def __enter__(self):
-        return self.install()
-
-    def __exit__(self, *exc):
-        self.uninstall()
-        return False
-
-    # -- collection -----------------------------------------------------
-    def observe(self, machine, label=None):
-        telemetry = Telemetry(
+    def attach(self, machine):
+        return Telemetry(
             machine,
-            label=label or f"machine-{len(self.telemetries):02d}",
+            label=f"machine-{len(self.attached):02d}",
             window=self.window,
             max_spans=self.max_spans,
         )
-        self.telemetries.append(telemetry)
-        return telemetry
-
-    def detach(self):
-        for telemetry in self.telemetries:
-            telemetry.detach()
-        return self
-
-    def reset(self):
-        """Detach and forget every collected machine."""
-        self.detach()
-        self.telemetries = []
-        return self
 
     # -- artifacts ------------------------------------------------------
     def save(self, outdir):
@@ -532,7 +485,7 @@ class TelemetrySession:
         os.makedirs(outdir, exist_ok=True)
         paths = []
         index = []
-        for telemetry in self.telemetries:
+        for telemetry in self.attached:
             sub = os.path.join(outdir, telemetry.label)
             telemetry.save(sub)
             paths.append(sub)

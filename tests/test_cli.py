@@ -66,14 +66,14 @@ class TestCli:
 class TestTelemetryCli:
     def test_telemetry_out_captures_artifacts(self, tmp_path, capsys):
         from repro.sim.telemetry import load_and_validate
-        from repro.sim.telemetry.session import active_session
+        from repro.sim.telemetry.session import TelemetrySession
 
         outdir = tmp_path / "telem"
         assert cli.main(["ablation-mc-cache", "--no-check",
                          "--telemetry-out", str(outdir)]) == 0
         assert "telemetry:" in capsys.readouterr().out
         # The session must not leak past the run.
-        assert active_session() is None
+        assert TelemetrySession.active() is None
         # One artifact directory per simulation run, machine dirs inside.
         runs = sorted((outdir / "runs").glob("*/machine-*"))
         assert runs
@@ -105,7 +105,7 @@ class TestFaultsCli:
     def test_faults_flag_arms_a_plan(self, tmp_path, capsys):
         import json
 
-        from repro.sim.faults import active_session
+        from repro.sim.faults import FaultSession
 
         outdir = tmp_path / "chaos"
         assert (
@@ -124,7 +124,7 @@ class TestFaultsCli:
         out = capsys.readouterr().out
         assert "faults:" in out
         # The session must not leak past the run.
-        assert active_session() is None
+        assert FaultSession.active() is None
         report_paths = sorted(outdir.glob("runs/*/fault_report.json"))
         assert report_paths
         for report_path in report_paths:
@@ -175,8 +175,8 @@ class TestFaultsCli:
 
     def test_crash_does_not_leak_sessions(self, capsys):
         from repro.experiments import registry
-        from repro.sim.faults import active_session as fault_session
-        from repro.sim.telemetry.session import active_session as telemetry_session
+        from repro.sim.faults import FaultSession
+        from repro.sim.telemetry.session import TelemetrySession
 
         def crashing():
             raise ValueError("boom")
@@ -184,8 +184,8 @@ class TestFaultsCli:
         registry.register("crash-test-2", crashing, "always crashes")
         try:
             assert cli.main(["crash-test-2", "--faults", "seed:1"]) == 1
-            assert fault_session() is None
-            assert telemetry_session() is None
+            assert FaultSession.active() is None
+            assert TelemetrySession.active() is None
         finally:
             registry._runners.pop("crash-test-2", None)
         capsys.readouterr()

@@ -87,7 +87,7 @@ def _kv_session():
     """One kvserve run observed by a telemetry session."""
     with TelemetrySession() as session:
         kvserve.run_leviathan(KV_SMALL, n_tiles=4)
-    telemetry = session.telemetries[0]
+    telemetry = session.attached[0]
     telemetry.finalize()
     return telemetry
 
@@ -159,7 +159,7 @@ class TestObserverPurity:
         bare = run(dict(HT_SMALL))
         with TelemetrySession() as session:
             observed = run(dict(HT_SMALL))
-        assert session.telemetries, "session saw no machine"
+        assert session.attached, "session saw no machine"
         assert observed.cycles == bare.cycles
         assert observed.output == bare.output
         assert observed.stats == bare.stats
@@ -247,7 +247,7 @@ def kv_artifacts(tmp_path_factory):
     root = tmp_path_factory.mktemp("explain")
     with TelemetrySession() as session:
         lev = kvserve.run_leviathan(KV_SMALL, n_tiles=4)
-    telemetry = session.telemetries[0]
+    telemetry = session.attached[0]
     run_dir = root / "runs" / "serve-kv-leviathan-abc" / "machine-00"
     telemetry.save(str(run_dir))
     base = kvserve.run_baseline(KV_SMALL, n_tiles=4)

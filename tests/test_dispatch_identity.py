@@ -101,7 +101,7 @@ class TestAttachedDetachedIdentity:
         attached = _run(runner)
         with TelemetrySession() as session:
             telemetered = _run(runner)
-        assert session.telemetries  # the run really was observed
+        assert session.attached  # the run really was observed
         assert fingerprint(telemetered) == fingerprint(attached)
 
 

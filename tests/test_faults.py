@@ -23,7 +23,6 @@ from repro.sim.faults import (
     FaultSession,
     NocDelay,
     NocDrop,
-    active_session,
 )
 from repro.sim.ops import Compute, Load, Store
 from repro.sim.system import Machine
@@ -450,13 +449,13 @@ class TestDetachedOverhead:
 class TestFaultSession:
     def test_session_attaches_to_every_machine(self):
         with FaultSession("noc-delay:1.0@10; seed:1") as session:
-            assert active_session() is session
+            assert FaultSession.active() is session
             m1 = Machine(small_config())
             m2 = Machine(small_config())
             assert m1.faults is not None
             assert m2.faults is not None
-            assert len(session.controllers) == 2
-        assert active_session() is None
+            assert len(session.attached) == 2
+        assert FaultSession.active() is None
         m3 = Machine(small_config())
         assert m3.faults is None
 

@@ -18,6 +18,10 @@ from repro.experiments.pool import (
     encode_result,
     spec_hash,
 )
+from repro.sim.config import small_config
+from repro.sim.faults import FaultSession
+from repro.sim.system import Machine
+from repro.sim.telemetry.session import TelemetrySession
 from repro.workloads.common import RunResult
 
 #: A hash-table instance small enough to simulate many times per test.
@@ -325,6 +329,25 @@ class TestArtifacts:
         saved = json.loads(reports[0].read_text())
         assert saved["seed"] == 3
         assert saved["machines"]
+
+    def test_failed_session_install_leaks_no_session(self, tmp_path):
+        # The run's TelemetrySession cannot install over the caller's;
+        # the sessions installed before it must still come off.
+        pool = ExperimentPool(
+            jobs=1,
+            cache_dir=None,
+            telemetry_dir=str(tmp_path / "telem"),
+            faults="noc-delay:0.5@10; seed:1",
+        )
+        with TelemetrySession():
+            outcome = pool.run(_cheap_specs()[2:])[0]
+        leaked = FaultSession.active()
+        if leaked is not None:
+            leaked.uninstall()  # keep a regression from arming later tests
+        assert outcome["status"] == "error"
+        assert "already installed" in outcome["error"]["message"]
+        assert leaked is None
+        assert Machine(small_config()).faults is None
 
     def test_default_pool_is_inline_and_memoized(self):
         pool = pool_module.default_pool()

@@ -108,6 +108,20 @@ class TestPoolLogging:
         run_ids = {r["run_id"] for r in _read_jsonl(path) if "run_id" in r}
         assert run_ids == {pool.run_id}
 
+    def test_pool_postmortem_is_logged(self, tmp_path):
+        path = str(tmp_path / "postmortem.jsonl")
+        pool = ExperimentPool(
+            jobs=1, cache_dir=str(tmp_path / "cache"), flightrec=64, log_path=path
+        )
+        spec = RunSpec("tests.obs_helpers:deadlocking_point", {}, "log/postmortem")
+        outcome = pool.run([spec])[0]
+        assert outcome["status"] == "error"
+        logged = [
+            r for r in _read_jsonl(path) if r["event"] == "flightrec.postmortem"
+        ]
+        assert len(logged) == 1
+        assert logged[0]["path"] == outcome["postmortem"]
+
 
 class TestStatusCli:
     def test_status_exit_codes(self, tmp_path, capsys):

@@ -1,17 +1,20 @@
-"""Scheduler-mode determinism: heap and run-list produce one schedule.
+"""Scheduler determinism: heap and run-list produce one schedule.
 
-The run-list scheduler (``scheduler_mode="runlist"``, the default) is a
-performance rearchitecture of the original binary-heap scheduler
-(``"heap"``, kept as the executable reference). Its correctness claim
-is *bit-identical schedules*: for any workload, both modes execute the
-same operations on the same contexts in the same order at the same
-simulated times. These tests drive both modes over seeded random
-workloads and over a real macro workload and require identical
-execution logs, final times, and statistics -- guarding the
+The run-list scheduler (:class:`Scheduler`, the one every machine
+builds) is a performance rearchitecture of the original binary-heap
+scheduler (:class:`HeapScheduler`, kept as the executable reference).
+Its correctness claim is *bit-identical schedules*: for any workload,
+both execute the same operations on the same contexts in the same
+order at the same simulated times. These tests build machines in two
+modes -- ``"heap"`` substitutes the reference by patching
+``repro.sim.system.Scheduler`` -- drive both over seeded random
+workloads and over a real macro workload, and require identical
+execution logs, final times, and statistics, guarding the
 tie-break-by-enqueue-order contract documented in ``scheduler.py``.
 """
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -21,8 +24,12 @@ from repro.sim.scheduler import HeapScheduler, Scheduler
 from repro.sim.system import Machine
 
 
+SCHEDULERS = {"runlist": Scheduler, "heap": HeapScheduler}
+
+
 def _make_machine(mode):
-    return Machine(small_config(scheduler_mode=mode))
+    with mock.patch("repro.sim.system.Scheduler", SCHEDULERS[mode]):
+        return Machine(small_config())
 
 
 def _random_op_trace(seed, steps):
@@ -84,10 +91,6 @@ class TestSchedulerModeSelection:
     def test_heap_mode_selectable(self):
         machine = _make_machine("heap")
         assert type(machine.scheduler) is HeapScheduler
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="scheduler_mode"):
-            small_config(scheduler_mode="fifo")
 
 
 class TestSpawnOrderTieBreak:
@@ -191,9 +194,7 @@ class TestMacroEquivalence:
             if mode == "heap":
                 import repro.sim.system as system_module
 
-                monkeypatch.setattr(
-                    system_module, "make_scheduler", lambda m: HeapScheduler(m)
-                )
+                monkeypatch.setattr(system_module, "Scheduler", HeapScheduler)
             r = run_leviathan(dict(small), n_tiles=4)
             results[mode] = (r.cycles, r.energy_pj, r.output, r.stats)
         assert results["runlist"] == results["heap"]

@@ -280,10 +280,10 @@ class TestGuarantees:
         with TelemetrySession() as session:
             machine = Machine(small_config())
             machine2 = Machine(small_config())
-        assert [t.machine for t in session.telemetries] == [machine, machine2]
+        assert [t.machine for t in session.attached] == [machine, machine2]
         # Outside the context, construction is no longer hooked.
         Machine(small_config())
-        assert len(session.telemetries) == 2
+        assert len(session.attached) == 2
 
     def test_span_cap_counts_dropped(self):
         machine, runtime, telemetry = build()

@@ -13,7 +13,7 @@ from repro.core.runtime import Leviathan
 from repro.sim.config import small_config
 from repro.sim.events import WatchdogFired
 from repro.sim.ops import Compute, Condition, Wait
-from repro.sim.scheduler import DeadlockError, SimDeadlock
+from repro.sim.scheduler import DeadlockError, HeapScheduler, SimDeadlock
 from repro.sim.system import Machine
 
 
@@ -148,8 +148,10 @@ class TestDeadlockDiagnostics:
     structured stall snapshot (what the flight recorder drains)."""
 
     @pytest.mark.parametrize("mode", ["runlist", "heap"])
-    def test_drained_raise_emits_watchdog_fired(self, mode):
-        machine = Machine(small_config(scheduler_mode=mode))
+    def test_drained_raise_emits_watchdog_fired(self, mode, monkeypatch):
+        if mode == "heap":
+            monkeypatch.setattr("repro.sim.system.Scheduler", HeapScheduler)
+        machine = Machine(small_config())
         fired = []
         machine.events.subscribe(WatchdogFired, fired.append)
         lonely = Condition("never-signaled")
