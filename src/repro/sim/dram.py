@@ -79,36 +79,20 @@ class MemoryController:
         service = self._service
         self._busy_until = start + service
         queueing = start - now
-        stats = self.stats
-        if stats._phase is None:
-            stats.counters["dram.queue_cycles"] += queueing
-        else:
-            stats.add("dram.queue_cycles", queueing)
+        self.stats.counters["dram.queue_cycles"] += queueing
         return queueing + service
 
     def access(self, dram_line, is_write=False, now=0.0):
         """Access one DRAM line through the FIFO cache; returns latency."""
-        stats = self.stats
-        phased = stats._phase is not None
-        counters = stats.counters
-        if phased:
-            stats.add("mc_cache.accesses")
-        else:
-            counters["mc_cache.accesses"] += 1
+        counters = self.stats.counters
+        counters["mc_cache.accesses"] += 1
         if self.fifo.probe(dram_line):
-            if phased:
-                stats.add("mc_cache.hits")
-            else:
-                counters["mc_cache.hits"] += 1
+            counters["mc_cache.hits"] += 1
             if is_write:
                 # Write hits still drain to DRAM; the FIFO is a read
                 # combiner for compacted objects, not a write-back cache.
-                if phased:
-                    stats.add("dram.accesses")
-                    stats.add("dram.writes")
-                else:
-                    counters["dram.accesses"] += 1
-                    counters["dram.writes"] += 1
+                counters["dram.accesses"] += 1
+                counters["dram.writes"] += 1
                 if self._emit_dram_access:
                     self.bus.emit(DramAccess(self.index, dram_line, True, True, True))
                 latency = self._queue_for_service(now) + self._latency
@@ -118,12 +102,8 @@ class MemoryController:
             if self._emit_dram_access:
                 self.bus.emit(DramAccess(self.index, dram_line, False, True, False))
             return self.FIFO_HIT_LATENCY
-        if phased:
-            stats.add("dram.accesses")
-            stats.add("dram.writes" if is_write else "dram.reads")
-        else:
-            counters["dram.accesses"] += 1
-            counters["dram.writes" if is_write else "dram.reads"] += 1
+        counters["dram.accesses"] += 1
+        counters["dram.writes" if is_write else "dram.reads"] += 1
         if self._emit_dram_access:
             self.bus.emit(DramAccess(self.index, dram_line, is_write, False, True))
         if not is_write:

@@ -1,8 +1,9 @@
 """The memory hierarchy: a layered access-path pipeline.
 
-An access enters :meth:`Hierarchy.access` as a
-:class:`~repro.sim.access.MemoryRequest` per cache line and walks three
-focused components, each owning one slice of the path:
+An access enters :meth:`Hierarchy.access` (or its latency-only twin
+:meth:`Hierarchy.access_latency`) and walks its cache lines, one at a
+time on a single pooled :class:`~repro.sim.access.MemoryRequest`,
+through three focused components, each owning one slice of the path:
 
 - :class:`PrivateCachePath`: per-tile L1s, L2s, the engines' small
   coherent L1ds, and the L2 strided prefetchers;
@@ -16,8 +17,8 @@ focused components, each owning one slice of the path:
   buffer and drained off the critical path), and prefetch flow control.
 
 Each component records a per-level outcome on the request and
-accumulates latency; :meth:`Hierarchy.access` folds the per-line
-requests into an :class:`~repro.sim.access.AccessResult`. All
+accumulates latency; :meth:`Hierarchy.access` folds the walk into an
+:class:`~repro.sim.access.AccessResult`. All
 components emit typed events on the machine's
 :class:`~repro.sim.events.EventBus` (guard-checked: free with no
 subscribers), which is how tracing, access profiles, and live energy
@@ -231,15 +232,10 @@ class PrivateCachePath:
     # ------------------------------------------------------------------
     def access_line(self, req):
         """Walk a core access through L1 -> L2 -> (morph | shared path)."""
-        stats = self.stats
-        counters = stats.counters
-        phased = stats._phase is not None
+        counters = self.stats.counters
         tile, line, is_write = req.tile, req.line, req.is_write
 
-        if phased:
-            stats.add("l1.accesses")
-        else:
-            counters["l1.accesses"] += 1
+        counters["l1.accesses"] += 1
         entry = self.l1[tile].lookup(line)
         if self.emit_cache_access:
             self.bus.emit(
@@ -255,10 +251,7 @@ class PrivateCachePath:
         req.outcomes.append(("l1", "miss"))
         req.latency += self._l1_tag
 
-        if phased:
-            stats.add("l2.accesses")
-        else:
-            counters["l2.accesses"] += 1
+        counters["l2.accesses"] += 1
         l2_entry = self.l2[tile].lookup(line)
         if self.emit_cache_access:
             self.bus.emit(
@@ -282,7 +275,7 @@ class PrivateCachePath:
             for obj_line in result.lines:
                 self.insert_l2(tile, obj_line, dirty=result.dirty, morph=True)
             self.fill_private(tile, line, is_write, False, morph=True)
-            stats.add("morph.l2_constructions")
+            self.stats.add("morph.l2_constructions")
             if self.emit_morph_construct:
                 self.bus.emit(MorphConstruct("l2", tile, line))
             return
@@ -290,7 +283,6 @@ class PrivateCachePath:
         self.shared.access_line(req)
         self.insert_l2(tile, line, dirty=False, morph=False)
         self.fill_private(tile, line, is_write, False, morph=False)
-        self.shared.dir.record_fill(line, tile, exclusive=is_write)
         # Prefetches issue after the demand miss resolves (issuing them
         # first could evict the demanded line between its directory and
         # data lookups).
@@ -314,9 +306,7 @@ class PrivateCachePath:
         crosses no NoC links.
         """
         h = self.h
-        stats = self.stats
-        counters = stats.counters
-        phased = stats._phase is not None
+        counters = self.stats.counters
         tile, line, is_write = req.tile, req.line, req.is_write
 
         if self.fill.hooks.morph_level(line) == "llc":
@@ -329,10 +319,7 @@ class PrivateCachePath:
             self.shared.access_line(req)
             return
 
-        if phased:
-            stats.add("engine_l1.accesses")
-        else:
-            counters["engine_l1.accesses"] += 1
+        counters["engine_l1.accesses"] += 1
         entry = self.engine_l1[tile].lookup(line)
         if self.emit_cache_access:
             self.bus.emit(
@@ -349,10 +336,7 @@ class PrivateCachePath:
         req.latency += 1
 
         # Snoop the on-tile L2 (no fill -- the caches stay distinct).
-        if phased:
-            stats.add("l2.accesses")
-        else:
-            counters["l2.accesses"] += 1
+        counters["l2.accesses"] += 1
         l2_entry = self.l2[tile].lookup(line)
         if self.emit_cache_access:
             self.bus.emit(
@@ -382,14 +366,13 @@ class PrivateCachePath:
                 payload_bytes=DATA_BYTES,
                 now=h.machine.scheduler.now,
             )
-            stats.add("near_memory.direct_accesses")
+            self.stats.add("near_memory.direct_accesses")
             req.record("dram", "direct")
             self.fill_private(tile, line, is_write, True, morph=False)
             return
 
         self.shared.access_line(req)
         self.fill_private(tile, line, is_write, True, morph=False)
-        self.shared.dir.record_fill(line, tile, exclusive=is_write)
 
     # ------------------------------------------------------------------
     # fills and evictions
@@ -549,16 +532,11 @@ class SharedCachePath:
     def access_line(self, req):
         """Access ``req.line`` at its LLC bank on behalf of the requester."""
         h = self.h
-        stats = self.stats
-        counters = stats.counters
-        phased = stats._phase is not None
+        counters = self.stats.counters
         line, is_write = req.line, req.is_write
         bank = (line >> self.fill.hooks.bank_shift(line)) & self._bank_mask
         req.latency += h.noc.send(req.tile, bank, CTRL_BYTES)
-        if phased:
-            stats.add("llc.accesses")
-        else:
-            counters["llc.accesses"] += 1
+        counters["llc.accesses"] += 1
         req.latency += self.resolve_coherence(bank, req.tile, line, is_write)
 
         llc = self.llc[bank]
@@ -568,10 +546,7 @@ class SharedCachePath:
                 CacheAccess("llc", bank, line, entry is not None, is_write, req.engine)
             )
         if entry is not None:
-            if phased:
-                stats.add("llc.hits")
-            else:
-                counters["llc.hits"] += 1
+            counters["llc.hits"] += 1
             req.outcomes.append(("llc", "hit"))
             req.latency += self._llc_hit
             if is_write:
@@ -579,10 +554,7 @@ class SharedCachePath:
             req.latency += h.noc.send(bank, req.tile, DATA_BYTES)
             return
 
-        if phased:
-            stats.add("llc.misses")
-        else:
-            counters["llc.misses"] += 1
+        counters["llc.misses"] += 1
         req.outcomes.append(("llc", "miss"))
         req.latency += self._llc_tag
 
@@ -592,7 +564,7 @@ class SharedCachePath:
             req.latency += result.latency
             for obj_line in result.lines:
                 self.insert_llc(bank, obj_line, dirty=result.dirty or is_write, morph=True)
-            stats.add("morph.llc_constructions")
+            self.stats.add("morph.llc_constructions")
             if self.emit_morph_construct:
                 self.bus.emit(MorphConstruct("llc", bank, line))
         else:
@@ -868,6 +840,39 @@ class Hierarchy:
     # ------------------------------------------------------------------
     # the access entry point
     # ------------------------------------------------------------------
+    def _walk(self, tile, addr, size, is_write, engine, apply, near_memory):
+        """Walk every line of an access; returns ``(latency, outcomes)``.
+
+        One pooled request carries the walk. Its outcome trail escapes
+        to the caller, so the request returns to the pool with a fresh
+        list instead of a copy.
+        """
+        private = self.private
+        access_line = private.engine_access_line if engine else private.access_line
+        shift = self._line_shift
+        line = addr >> shift
+        last = (addr + max(size, 1) - 1) >> shift
+        req = self.checkout_request(tile, line, size, is_write, engine, near_memory)
+        latency = 0.0
+        # A while loop rather than range(): nearly every access is one
+        # line, and building a range object per access was measurable.
+        while line <= last:
+            req.line = line
+            req.latency = 0.0
+            access_line(req)
+            if req.latency > latency:
+                latency = req.latency
+            line += 1
+        outcomes = req.outcomes
+        req.outcomes = []
+        self._req_pool.append(req)
+        if apply is not None:
+            apply()
+        fill = self.fill_engine
+        if fill._hook_depth == 0:
+            fill.drain_destructors()
+        return latency, outcomes
+
     def access(self, tile, addr, size, is_write, engine=False, apply=None, near_memory=False):
         """Perform an access; returns its :class:`AccessResult`.
 
@@ -880,42 +885,9 @@ class Hierarchy:
         destructors drain, so a destructor for this very line (evicted
         by the access's own fills) observes the applied value.
         """
-        private = self.private
-        shift = self._line_shift
-        first = addr >> shift
-        last = (addr + max(size, 1) - 1) >> shift
-        if first == last:
-            req = self.checkout_request(tile, first, size, is_write, engine, near_memory)
-            if engine:
-                private.engine_access_line(req)
-            else:
-                private.access_line(req)
-            latency = req.latency
-            # The outcome trail escapes into the AccessResult: hand the
-            # recycled request a fresh list instead of copying.
-            outcomes = req.outcomes
-            req.outcomes = []
-            self._req_pool.append(req)
-        else:
-            latency = 0.0
-            req = self.checkout_request(tile, first, size, is_write, engine, near_memory)
-            for line in range(first, last + 1):
-                req.line = line
-                if engine:
-                    private.engine_access_line(req)
-                else:
-                    private.access_line(req)
-                if req.latency > latency:
-                    latency = req.latency
-                req.latency = 0.0
-            outcomes = req.outcomes
-            req.outcomes = []
-            self._req_pool.append(req)
-        if apply is not None:
-            apply()
-        fill = self.fill_engine
-        if fill._hook_depth == 0:
-            fill.drain_destructors()
+        latency, outcomes = self._walk(
+            tile, addr, size, is_write, engine, apply, near_memory
+        )
         result = AccessResult(
             tile, addr, size, is_write, engine, near_memory, latency, outcomes
         )
@@ -930,44 +902,16 @@ class Hierarchy:
     ):
         """The latency of an access -- the operation fast path.
 
-        Equivalent to ``self.access(...).latency`` (and falls back to
-        exactly that whenever a :class:`~repro.sim.events.MemoryAccess`
-        subscriber needs the full result), but with no MemoryAccess
-        subscriber the walk runs on pooled requests and never builds an
-        :class:`~repro.sim.access.AccessResult` or outcome list copy.
+        Equivalent to ``self.access(...).latency`` (and is exactly that
+        whenever a :class:`~repro.sim.events.MemoryAccess` subscriber
+        needs the full result), but with no MemoryAccess subscriber it
+        never builds an :class:`~repro.sim.access.AccessResult`.
         """
         if self._want_memory_access:
             return self.access(
                 tile, addr, size, is_write, engine, apply, near_memory
             ).latency
-        private = self.private
-        shift = self._line_shift
-        first = addr >> shift
-        last = (addr + max(size, 1) - 1) >> shift
-        req = self.checkout_request(tile, first, size, is_write, engine, near_memory)
-        if engine:
-            access_line = private.engine_access_line
-        else:
-            access_line = private.access_line
-        if first == last:
-            access_line(req)
-            latency = req.latency
-        else:
-            latency = 0.0
-            for line in range(first, last + 1):
-                req.line = line
-                access_line(req)
-                if req.latency > latency:
-                    latency = req.latency
-                req.latency = 0.0
-        req.outcomes.clear()
-        self._req_pool.append(req)
-        if apply is not None:
-            apply()
-        fill = self.fill_engine
-        if fill._hook_depth == 0:
-            fill.drain_destructors()
-        return latency
+        return self._walk(tile, addr, size, is_write, engine, apply, near_memory)[0]
 
     # ------------------------------------------------------------------
     # explicit flush (Leviathan's flush instruction, Sec. VI-B2)
@@ -1000,18 +944,6 @@ class Hierarchy:
                     shared.evict_llc(bank, victim)
         self.fill_engine.drain_destructors()
         self.stats.add("morph.flushes")
-
-    # ------------------------------------------------------------------
-    # historical entry points kept for direct component access
-    # ------------------------------------------------------------------
-    def _evict_llc(self, bank, victim):
-        self.shared.evict_llc(bank, victim)
-
-    def _evict_engine_l1(self, tile, victim):
-        self.private.evict_engine_l1(tile, victim)
-
-    def _drain_destructors(self):
-        self.fill_engine.drain_destructors()
 
 
 def _engine_l1_config(cfg):

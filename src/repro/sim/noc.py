@@ -74,16 +74,10 @@ class MeshNoc:
             cached = (flits, flits - 1)
             self._flits[payload_bytes] = cached
         flits, serialization = cached
-        stats = self.stats
-        if stats._phase is None:
-            counters = stats.counters
-            counters["noc.messages"] += 1
-            counters["noc.flits"] += flits
-            counters["noc.flit_hops"] += flits * hops
-        else:
-            stats.add("noc.messages")
-            stats.add("noc.flits", flits)
-            stats.add("noc.flit_hops", flits * hops)
+        counters = self.stats.counters
+        counters["noc.messages"] += 1
+        counters["noc.flits"] += flits
+        counters["noc.flit_hops"] += flits * hops
         if self._emit_flit_hop:
             self.bus.emit(FlitHop(src, dst, payload_bytes, flits, hops))
         if hops:

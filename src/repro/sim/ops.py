@@ -82,20 +82,13 @@ class Compute(Op):
         instructions = self.instructions
         if instructions <= 0:
             return 0.0
-        stats = machine.stats
         if ctx.is_engine:
-            if stats._phase is None:
-                stats.counters["engine.instructions"] += instructions
-            else:
-                stats.add("engine.instructions", instructions)
+            machine.stats.counters["engine.instructions"] += instructions
             engine = machine._engine_cfg
             if engine.ideal:
                 return 0.0
             return instructions * engine.pe_latency / engine.issue_width
-        if stats._phase is None:
-            stats.counters["core.instructions"] += instructions
-        else:
-            stats.add("core.instructions", instructions)
+        machine.stats.counters["core.instructions"] += instructions
         return instructions / machine._core_cfg.ipc
 
 

@@ -8,7 +8,8 @@ experiment harness both read these counters; the figures in the paper are
 Two planes of observability coexist:
 
 - the flat counters (this module's :class:`Stats`): always on, updated
-  directly at the emitting site -- the fast plane;
+  directly at the emitting site -- the fast plane; per-phase counters
+  are derived from them at phase boundaries;
 - the event bus (:mod:`repro.sim.events`): opt-in, typed, carrying the
   per-request attribution the counters cannot express. This module's
   :class:`AccessProfile` is the bus subscriber that turns
@@ -27,33 +28,48 @@ class Stats:
 
     Counter names follow a ``component.event`` convention, e.g.
     ``l1.hits``, ``llc.misses``, ``noc.flit_hops``, ``dram.accesses``,
-    ``engine.instructions``. Components may also record *phased*
-    counters (``phase/component.event``) when the workload marks
-    execution phases (used by Fig. 21's per-phase DRAM breakdown).
+    ``engine.instructions``. When the workload marks execution phases,
+    each counter's growth over a phase is also recorded as
+    ``phase/component.event`` (used by Fig. 21's per-phase DRAM
+    breakdown). Phase counters are recorded when the phase ends or
+    switches to another; components only ever increment plain counters.
     """
 
-    __slots__ = ("counters", "_phase")
+    __slots__ = ("counters", "_phase", "_phase_start")
 
     def __init__(self):
         self.counters = Counter()
         self._phase = None
+        #: The counters as they stood when the current phase began.
+        self._phase_start = None
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
     def add(self, name, amount=1):
-        """Increment counter ``name`` by ``amount``.
-
-        If a phase is active, a second, phase-qualified counter is also
-        incremented so per-phase breakdowns can be reported.
-        """
+        """Increment counter ``name`` by ``amount``."""
         self.counters[name] += amount
-        if self._phase is not None:
-            self.counters[f"{self._phase}/{name}"] += amount
 
     def set_phase(self, phase):
-        """Enter a named execution phase (or ``None`` to leave)."""
+        """Enter a named execution phase (or ``None`` to leave).
+
+        Ending the current phase -- leaving it, or switching straight to
+        another -- adds each plain counter's growth over the phase under
+        ``phase/name``. A counter first created during the phase gets
+        its key even when it grew by 0.
+        """
+        if self._phase is not None:
+            counters = self.counters
+            start = self._phase_start
+            grown = [
+                (name, value - start.get(name, 0))
+                for name, value in counters.items()
+                if "/" not in name and (name not in start or value != start[name])
+            ]
+            for name, growth in grown:
+                counters[f"{self._phase}/{name}"] += growth
         self._phase = phase
+        self._phase_start = None if phase is None else dict(self.counters)
 
     @property
     def phase(self):

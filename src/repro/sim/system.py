@@ -153,20 +153,13 @@ class Machine:
         """Latency of ``instructions`` on the context's compute resource."""
         if instructions <= 0:
             return 0.0
-        stats = self.stats
         if ctx.is_engine:
-            if stats._phase is None:
-                stats.counters["engine.instructions"] += instructions
-            else:
-                stats.add("engine.instructions", instructions)
+            self.stats.counters["engine.instructions"] += instructions
             engine = self._engine_cfg
             if engine.ideal:
                 return 0.0
             return instructions * engine.pe_latency / engine.issue_width
-        if stats._phase is None:
-            stats.counters["core.instructions"] += instructions
-        else:
-            stats.add("core.instructions", instructions)
+        self.stats.counters["core.instructions"] += instructions
         return instructions / self._core_cfg.ipc
 
     def wake_all(self, condition, value=None, at_time=None):

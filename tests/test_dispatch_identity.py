@@ -1,18 +1,22 @@
-"""Fast/slow dispatch identity on the fig18 workload.
+"""Attached/detached dispatch identity on the fig18 and HATS workloads.
 
-The hierarchy has two dispatch variants: the instrumented path (taken
-whenever anything subscribes to ``MemoryAccess`` -- profilers, faults,
-telemetry) builds a full :class:`AccessResult` per request, and the
-detached fast path walks the same caches through a pooled request and
-returns only the latency. These are *performance* variants, not
-semantic ones: a run must produce bit-identical timing, energy,
-statistics, and functional output no matter which path it took, and
+Every access walks the caches the same way. When anything subscribes
+to ``MemoryAccess`` -- an :class:`AccessProfile` (every hash-table run
+attaches one) or a telemetry session -- each access also builds a full
+:class:`AccessResult` and emits it; with no subscriber (a plain HATS
+run, or a hash-table run with the profile stubbed out) only the
+latency is returned. A fault plan subscribes only to invoke-lifecycle
+events, so it does not change which variant runs. These are
+*performance* variants, not semantic ones: a run must produce
+bit-identical timing, energy, statistics (phase-qualified counters
+included), and functional output no matter which variant it took, and
 attached runs must observe identical ``AccessResult`` streams.
 """
 
 import pytest
 
 import repro.workloads.hashtable as hashtable
+import repro.workloads.hats as hats
 from repro.sim.faults import FaultSession
 from repro.sim.stats import AccessProfile
 from repro.sim.telemetry.session import TelemetrySession
@@ -20,6 +24,12 @@ from repro.sim.telemetry.session import TelemetrySession
 #: fig18 scaled to unit-test size (a run is a few thousand steps).
 SMALL = dict(n_buckets=16, nodes_per_bucket=8, n_threads=4, lookups_per_thread=8)
 TILES = 4
+#: Figs. 20-21's HATS at unit-test size; it runs a vertex then an edge phase.
+HATS_SMALL = dict(
+    n_vertices=128, n_edges=1024, n_communities=4, bdfs_depth=4, stream_buffer=32
+)
+#: Counted while the machine is built, before the first phase begins.
+SETUP_COUNTERS = {"allocator.pools", "morph.registrations"}
 
 
 def fingerprint(result):
@@ -89,9 +99,9 @@ class TestAttachedDetachedIdentity:
 
     def test_fault_attached_matches(self, runner):
         attached = _run(runner)
-        # An inert plan (probability 0) attaches the fault machinery --
-        # and with it the instrumented access path -- without ever
-        # perturbing the run.
+        # An inert plan (probability 0) attaches the fault machinery
+        # without ever perturbing the run; the access path stays the
+        # one the runner's AccessProfile selects.
         with FaultSession("noc-delay:0.0@5") as session:
             faulted = _run(runner)
         assert session.total_injected == 0
@@ -103,6 +113,24 @@ class TestAttachedDetachedIdentity:
             telemetered = _run(runner)
         assert session.attached  # the run really was observed
         assert fingerprint(telemetered) == fingerprint(attached)
+
+
+class TestPhasedRunIdentity:
+    def test_telemetry_attached_matches_detached(self):
+        detached = hats.run_leviathan(dict(HATS_SMALL), n_tiles=TILES)
+        with TelemetrySession() as session:
+            attached = hats.run_leviathan(dict(HATS_SMALL), n_tiles=TILES)
+        assert session.attached  # the run really was observed
+        assert detached.stats["edge/dram.accesses"] > 0
+        assert fingerprint(attached) == fingerprint(detached)
+
+    def test_phases_partition_integer_counters(self):
+        stats = hats.run_leviathan(dict(HATS_SMALL), n_tiles=TILES).stats
+        for name, value in stats.items():
+            if "/" in name or not isinstance(value, int) or name in SETUP_COUNTERS:
+                continue
+            phased = stats.get(f"vertex/{name}", 0) + stats.get(f"edge/{name}", 0)
+            assert phased == value, name
 
 
 class TestAccessResultStream:

@@ -114,7 +114,7 @@ class TestCoherence:
         line = hierarchy.line_of(ADDR)
         bank = hierarchy.bank_of(line)
         victim = hierarchy.llc[bank].invalidate(line)
-        hierarchy._evict_llc(bank, victim)
+        hierarchy.shared.evict_llc(bank, victim)
         assert not hierarchy.tile_has_private(0, line)
         assert machine.stats["dram.writes"] >= 1  # the dirty data survived
 
@@ -143,7 +143,7 @@ class TestEngineAccess:
         line = hierarchy.line_of(ADDR)
         el1 = hierarchy.engine_l1[0]
         victim = el1.invalidate(line)
-        hierarchy._evict_engine_l1(0, victim)
+        hierarchy.private.evict_engine_l1(0, victim)
         bank = hierarchy.bank_of(line)
         entry = hierarchy.llc[bank].lookup(line, touch=False)
         assert entry is not None and entry.dirty

@@ -45,6 +45,29 @@ class TestPhases:
         stats.set_phase("x")
         assert stats.phase == "x"
 
+    def test_direct_switch_records_each_phase(self):
+        stats = Stats()
+        stats.add("dram.accesses", 1)
+        stats.set_phase("edge")
+        stats.add("dram.accesses", 5)
+        stats.set_phase("flush")
+        stats.add("dram.accesses", 2)
+        stats.set_phase(None)
+        assert stats["dram.accesses"] == 8
+        assert stats["edge/dram.accesses"] == 5
+        assert stats["flush/dram.accesses"] == 2
+
+    def test_counter_created_in_phase_keyed_at_zero(self):
+        # Fig. 23's HATS runs carry vertex/dram.queue_cycles = 0.0 this way.
+        stats = Stats()
+        stats.add("dram.accesses")
+        stats.set_phase("vertex")
+        stats.add("dram.queue_cycles", 0.0)
+        stats.set_phase(None)
+        assert "vertex/dram.queue_cycles" in stats.counters
+        assert stats["vertex/dram.queue_cycles"] == 0.0
+        assert "vertex/dram.accesses" not in stats.counters  # did not grow
+
     def test_phase_totals_exclude_phased(self):
         stats = Stats()
         stats.set_phase("a")
