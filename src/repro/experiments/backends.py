@@ -10,21 +10,25 @@ worker can be observed and killed. Two local backends ship today:
   benchmarks. Nothing to kill, no deadline enforcement (a blocking
   call cannot be preempted), bit-identical to calling the worker
   function directly.
-- :class:`LocalProcessBackend` runs each job in its own worker
-  process (forked where available) with a result pipe back to the
-  supervisor. Per-job processes are what make the supervision
+- :class:`LocalProcessBackend` keeps up to N long-lived worker
+  processes (forked where available), each with a pipe to the
+  supervisor, and sends every job to an idle one. A sweep of many
+  short runs pays one fork per worker, not one per run. Each worker
+  runs one job at a time, which is what makes the supervision
   contract enforceable: a deadline or hang kill takes down exactly
   one run, never a shared pool, and a SIGKILLed worker surfaces as a
   :class:`WorkerDeath` for that one handle instead of poisoning every
-  in-flight future the way a ``BrokenProcessPool`` does.
+  in-flight future the way a ``BrokenProcessPool`` does. A run may
+  follow other runs in the same worker, so a spec must not rely on
+  process-global state -- the inline backend imposes the same rule.
 
 A future scale-out backend (SSH, cloud functions) implements the same
 five methods -- ``start``/``capacity``/``submit``/``poll``/``kill`` --
 and inherits the whole supervision story for free.
 
-The worker entrypoint carries a **chaos hook** for CI: setting
-``LEVIATHAN_POOL_CHAOS="p=0.4;seed=7"`` makes each worker SIGKILL
-itself with probability ``p`` before executing, decided
+The worker loop carries a **chaos hook** for CI: setting
+``LEVIATHAN_POOL_CHAOS="p=0.4;seed=7"`` makes a worker SIGKILL itself
+with probability ``p`` before executing a job, decided
 deterministically from ``(seed, spec hash, attempt)`` -- so a given
 seed produces the same kill schedule on every run, and retried
 attempts roll fresh deterministic dice. The ``pool-chaos`` CI job uses
@@ -147,13 +151,41 @@ class LocalInlineBackend(ExecutorBackend):
         pass  # nothing to kill: submit() already returned
 
 
+@dataclass
+class _Worker:
+    """One long-lived worker process and the parent's end of its pipe."""
+
+    process: object
+    conn: object
+    #: Set by :meth:`LocalProcessBackend.kill`: never reuse this worker.
+    killed: bool = False
+
+    def reap(self):
+        """Join the process (SIGKILLing it if it lingers); close the pipe."""
+        self.process.join(timeout=5.0)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join(timeout=5.0)
+        self.conn.close()
+
+
 class LocalProcessBackend(ExecutorBackend):
-    """One worker process per job, supervised over a result pipe.
+    """At most ``workers`` long-lived worker processes, one job each at a time.
+
+    :meth:`submit` sends the job dict to an idle worker over its pipe,
+    forking a new worker only while fewer than ``workers`` are alive.
+    Each worker loops: receive a job, run it, send the outcome back; it
+    exits on the ``None`` sentinel :meth:`shutdown` sends, or on EOF.
+
+    A worker that died, or that :meth:`kill` targeted, is reaped and
+    never given another job -- even when its outcome reached the pipe
+    before the signal did. A worker found dead while idle is replaced
+    at the next :meth:`submit`. :meth:`shutdown` stops the idle workers
+    and reaps every worker, so none outlives the sweep.
 
     Uses the ``fork`` start method where available (Linux -- workers
-    inherit warm imports and the parent's run-log handler, matching
-    the previous ``ProcessPoolExecutor`` behavior), falling back to
-    the platform default elsewhere. Workers are daemonic, so an
+    inherit warm imports and the parent's run-log handler), falling
+    back to the platform default elsewhere. Workers are daemonic, so an
     abandoned supervisor never leaks simulators.
     """
 
@@ -170,7 +202,8 @@ class LocalProcessBackend(ExecutorBackend):
             )
         self._ctx = mp_context
         self._workers = 1
-        self._running = {}  # handle -> (process, connection, job)
+        self._idle = []  # live workers waiting for a job
+        self._running = {}  # handle -> the _Worker running that job
         self._seq = 0
 
     def start(self, workers):
@@ -181,19 +214,35 @@ class LocalProcessBackend(ExecutorBackend):
         return self._workers - len(self._running)
 
     def submit(self, job):
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(job, child_conn),
-            name=f"pool-worker-{job['hash'][:12]}-a{job.get('attempt', 1)}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()  # the worker owns the write end now
+        worker = self._idle_worker()
+        try:
+            worker.conn.send(job)
+        except OSError:
+            worker.reap()
+            raise
         self._seq += 1
-        handle = self._seq
-        self._running[handle] = (process, parent_conn, job)
-        return handle
+        self._running[self._seq] = worker
+        return self._seq
+
+    def _idle_worker(self):
+        """A live idle worker, or a newly forked one when none is left."""
+        while self._idle:
+            worker = self._idle.pop()
+            if worker.process.is_alive():
+                return worker
+            worker.reap()  # died while idle
+        parent_conn, child_conn = self._ctx.Pipe()
+        process = self._ctx.Process(
+            target=_worker_loop, args=(child_conn,), name="pool-worker", daemon=True
+        )
+        try:
+            process.start()
+        except OSError:
+            parent_conn.close()
+            raise
+        finally:
+            child_conn.close()  # the worker owns its end now
+        return _Worker(process, parent_conn)
 
     def poll(self, timeout=0.0):
         from multiprocessing import connection
@@ -202,39 +251,44 @@ class LocalProcessBackend(ExecutorBackend):
             if timeout > 0:
                 time.sleep(timeout)
             return []
-        by_conn = {conn: handle for handle, (_p, conn, _j) in self._running.items()}
-        ready = connection.wait(list(by_conn), timeout=timeout)
+        by_conn = {worker.conn: handle for handle, worker in self._running.items()}
         results = []
-        for conn in ready:
+        for conn in connection.wait(list(by_conn), timeout=timeout):
             handle = by_conn[conn]
-            process, _conn, _job = self._running.pop(handle)
+            worker = self._running.pop(handle)
             try:
                 payload = conn.recv()
             except (EOFError, OSError):
-                payload = WorkerDeath()
-            finally:
-                conn.close()
-            process.join(timeout=5.0)
-            if isinstance(payload, WorkerDeath):
-                payload.exitcode = process.exitcode
+                worker.reap()
+                payload = WorkerDeath(exitcode=worker.process.exitcode)
+            else:
+                if worker.killed:
+                    worker.reap()  # its outcome beat the signal
+                else:
+                    self._idle.append(worker)
             results.append((handle, payload))
         return results
 
     def kill(self, handle, reason=""):
-        entry = self._running.get(handle)
-        if entry is None:
+        worker = self._running.get(handle)
+        if worker is None:
             return
-        process = entry[0]
-        if process.is_alive():
-            process.kill()  # SIGKILL: a hung worker may ignore SIGTERM
+        worker.killed = True  # even if its outcome is already in the pipe
+        if worker.process.is_alive():
+            worker.process.kill()  # SIGKILL: a hung worker may ignore SIGTERM
 
     def shutdown(self):
-        for process, conn, _job in self._running.values():
-            if process.is_alive():
-                process.kill()
-            conn.close()
-        for process, _conn, _job in self._running.values():
-            process.join(timeout=5.0)
+        for worker in self._idle:
+            try:
+                worker.conn.send(None)
+            except OSError:
+                pass  # already dead: reap() joins it
+        for worker in self._running.values():
+            if worker.process.is_alive():
+                worker.process.kill()
+        for worker in [*self._idle, *self._running.values()]:
+            worker.reap()
+        self._idle.clear()
         self._running.clear()
 
 
@@ -249,7 +303,7 @@ def make_backend(backend, jobs):
     """Resolve ``backend`` (name, instance, or None/'auto') for ``jobs``.
 
     ``None``/``"auto"`` keeps the pool's historical behavior: inline
-    for a single worker, per-job processes otherwise.
+    for a single worker, worker processes otherwise.
     """
     if isinstance(backend, ExecutorBackend):
         return backend
@@ -265,7 +319,7 @@ def make_backend(backend, jobs):
 
 
 # ----------------------------------------------------------------------
-# the worker entrypoint
+# the worker loop
 # ----------------------------------------------------------------------
 def parse_chaos_spec(spec):
     """``"p=0.4;seed=7"`` -> ``(probability, seed)``; bad specs raise."""
@@ -306,13 +360,16 @@ def _maybe_chaos_kill(job):
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _worker_main(job, conn):
-    """Entry of one worker process: execute the job, pipe the outcome."""
-    _maybe_chaos_kill(job)
+def _worker_loop(conn):
+    """Body of one long-lived worker: run jobs until a sentinel or EOF."""
     from repro.experiments.pool import _execute_job
 
-    outcome = _execute_job(job)
-    try:
-        conn.send(outcome)
-    finally:
-        conn.close()
+    while True:
+        try:
+            job = conn.recv()
+        except EOFError:
+            return
+        if job is None:
+            return
+        _maybe_chaos_kill(job)
+        conn.send(_execute_job(job))

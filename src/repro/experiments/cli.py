@@ -158,7 +158,8 @@ def main(argv=None):
         default=None,
         metavar="NAME",
         help="executor backend: 'auto' (default: inline for one worker, "
-        "per-job processes otherwise), 'local-inline', or 'local-process'",
+        "long-lived worker processes otherwise), 'local-inline', or "
+        "'local-process'",
     )
     parser.add_argument(
         "--run-timeout",

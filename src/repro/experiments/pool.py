@@ -6,8 +6,8 @@ sweep into a flat list of :class:`RunSpec` entries -- one simulator
 execution each -- and executes them on a worker pool:
 
 - ``jobs=1`` runs specs inline in this process (the default for direct
-  calls from tests and benchmarks); ``jobs>1`` fans out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.
+  calls from tests and benchmarks); ``jobs>1`` sends them to up to
+  ``jobs`` long-lived worker processes, one run per worker at a time.
 - Every spec is content-hashed (function path + canonicalized kwargs +
   the armed fault plan); completed results are written to
   ``<cache-dir>/<hash>.json`` so re-runs and overlapping sweeps are
@@ -437,7 +437,7 @@ class ExperimentPool:
         Executor backend: an :class:`~repro.experiments.backends.
         ExecutorBackend` instance, a registered name
         (``"local-inline"``, ``"local-process"``), or None/"auto" --
-        inline for one worker, per-job processes otherwise.
+        inline for one worker, long-lived worker processes otherwise.
     retry:
         The :class:`~repro.experiments.retry.RetryPolicy` for
         transient failures (worker killed, timeout, hang). ``None``
@@ -482,7 +482,7 @@ class ExperimentPool:
         self.log_path = log_path
         self.heartbeat_interval = heartbeat_interval
         self.progress_mode = progress
-        self.backend = backend
+        self.backend = None if backend == "auto" else backend
         self.retry = retry if retry is not None else RetryPolicy()
         if not isinstance(self.retry, RetryPolicy):
             raise ValueError(f"retry must be a RetryPolicy, got {self.retry!r}")

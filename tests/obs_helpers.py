@@ -25,6 +25,11 @@ def slow_point(tag, seconds=0.3):
     return {"tag": tag}
 
 
+def pid_point(tag="pid"):
+    """The pid of the process that ran this spec (``tag`` only labels it)."""
+    return os.getpid()
+
+
 def flaky_point(sentinel, tag="flaky"):
     """SIGKILL our own worker once; succeed after the sentinel exists.
 

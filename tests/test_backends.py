@@ -1,7 +1,9 @@
 """Executor backends: inline/process contract, worker death, chaos hook."""
 
+import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
@@ -16,7 +18,28 @@ from repro.experiments.backends import (
     make_backend,
     parse_chaos_spec,
 )
+from repro.experiments.pool import ExperimentPool, RunSpec
 from repro.experiments.retry import RetryPolicy
+
+_PID = "tests.obs_helpers:pid_point"
+
+
+def _collect(backend, count, timeout=30.0):
+    """Poll ``backend`` until ``count`` payloads arrive, keyed by handle."""
+    payloads = {}
+    deadline = time.monotonic() + timeout
+    while len(payloads) < count:
+        assert time.monotonic() < deadline, f"only {len(payloads)}/{count} arrived"
+        payloads.update(backend.poll(timeout=0.2))
+    return payloads
+
+
+def _run_pid(backend):
+    """Run one :func:`pid_point` job; the pid of the worker that ran it."""
+    handle = backend.submit(_job(fn=_PID))
+    outcome = _collect(backend, 1)[handle]
+    assert outcome["status"] == "ok", outcome
+    return outcome["result"]["value"]
 
 
 def _job(fn="tests.obs_helpers:slow_point", attempt=1, **kwargs):
@@ -136,6 +159,66 @@ class TestLocalProcessBackend:
         backend.shutdown()
         assert backend.capacity() == 1
         assert backend.poll() == []
+
+
+class TestWorkerLifecycle:
+    """Long-lived workers: reuse, replacement after a kill, and reaping."""
+
+    def test_one_worker_runs_jobs_in_sequence(self):
+        with LocalProcessBackend().start(1) as backend:
+            first, second = _run_pid(backend), _run_pid(backend)
+        assert first == second != os.getpid()
+
+    def test_killed_worker_is_replaced(self):
+        with LocalProcessBackend().start(1) as backend:
+            old_pid = _run_pid(backend)
+            victim = backend.submit(_job(seconds=60.0))
+            backend.kill(victim, reason="timeout")
+            payload = _collect(backend, 1)[victim]
+            assert isinstance(payload, WorkerDeath)
+            assert payload.exitcode == -signal.SIGKILL
+            assert _run_pid(backend) != old_pid
+
+    def test_kill_after_the_outcome_is_in_the_pipe(self):
+        """The outcome is delivered, but the killed worker is never reused."""
+        with LocalProcessBackend().start(1) as backend:
+            old_pid = _run_pid(backend)
+            handle = backend.submit(_job(fn=_PID))
+            assert backend._running[handle].conn.poll(30.0)  # outcome sent
+            backend.kill(handle, reason="timeout")
+            outcome = _collect(backend, 1)[handle]
+            assert outcome["status"] == "ok"
+            assert outcome["result"]["value"] == old_pid
+            assert _run_pid(backend) != old_pid  # submit did not raise
+
+    def test_worker_killed_while_idle_is_replaced(self):
+        with LocalProcessBackend().start(1) as backend:
+            old_pid = _run_pid(backend)
+            os.kill(old_pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30.0
+            while old_pid in {p.pid for p in multiprocessing.active_children()}:
+                assert time.monotonic() < deadline, "SIGKILLed worker never exited"
+                time.sleep(0.01)
+            # The first attempt on the replacement succeeds: no WorkerDeath.
+            assert _run_pid(backend) != old_pid
+
+    def test_no_worker_outlives_shutdown_or_a_pool_run(self, tmp_path):
+        backend = LocalProcessBackend().start(2)
+        _run_pid(backend)
+        backend.submit(_job(seconds=60.0))
+        backend.shutdown()
+        assert multiprocessing.active_children() == []
+        pool = ExperimentPool(
+            jobs=2,
+            cache_dir=str(tmp_path / "c"),
+            backend="local-process",
+            progress=False,
+        )
+        pids = pool.run_results(
+            [RunSpec(_PID, {"tag": f"p{i}"}, f"life/{i}") for i in range(4)]
+        )
+        assert multiprocessing.active_children() == []
+        assert len(set(pids)) <= 2  # four runs, at most two workers
 
 
 class TestChaosHook:

@@ -144,6 +144,52 @@ class TestDeterminism:
         )
         assert supervised.supervision["retries"] == 0
 
+    def test_reused_worker_carries_no_state_between_runs(self):
+        """A run may follow other runs in the same worker process: one
+        worker runs a mixed batch forward, then reversed, and every
+        result must equal that spec run alone on a freshly forked
+        worker."""
+        specs = [
+            RunSpec(
+                f"repro.workloads.hashtable:{variant}",
+                {
+                    "params": {
+                        "n_buckets": buckets,
+                        "nodes_per_bucket": nodes,
+                        "n_threads": 4,
+                        "lookups_per_thread": lookups,
+                        "object_size": size,
+                        "seed": seed,
+                    },
+                    "n_tiles": 4,
+                },
+                f"state/{variant}-{seed}",
+            )
+            for variant in ("run_baseline", "run_leviathan")
+            for buckets, nodes, lookups, size, seed in (
+                (4, 8, 4, 24, 1),
+                (8, 4, 8, 128, 2),
+            )
+        ]
+        specs += [
+            RunSpec(_COMPACTION, {"compaction": on}, f"state/c{on}")
+            for on in (True, False)
+        ]
+        specs += [
+            RunSpec(_MC_CACHE, {"fifo_lines": n}, f"state/mc{n}") for n in (0, 4)
+        ]
+
+        def one_worker():
+            return ExperimentPool(
+                jobs=1, cache_dir=None, backend="local-process", progress=False
+            )
+
+        alone = [one_worker().run([spec])[0]["result"] for spec in specs]
+        forward = [outcome["result"] for outcome in one_worker().run(specs)]
+        backward = [outcome["result"] for outcome in one_worker().run(specs[::-1])]
+        assert forward == alone
+        assert backward[::-1] == alone
+
     def test_cache_round_trip_is_bit_identical(self, tmp_path):
         """Figure data decoded from the disk cache matches fresh data."""
         from repro.experiments import figures

@@ -194,16 +194,28 @@ class TestDispatchErrors:
 
 class TestBackendSelection:
     def test_single_pending_run_with_deadline_gets_process_backend(self, tmp_path):
-        pool = ExperimentPool(
-            jobs=4, cache_dir=str(tmp_path / "c"), run_timeout=30.0, progress=False
-        )
-        job = pool._job(RunSpec(_SLOW, {"tag": "x", "seconds": 0.0}, "sel/x"), "0" * 64)
-        assert pool._backend_for([job]).name == "local-process"
+        for backend in (None, "auto"):  # an explicit "auto" is the default
+            pool = ExperimentPool(
+                jobs=4,
+                cache_dir=str(tmp_path / "c"),
+                run_timeout=30.0,
+                progress=False,
+                backend=backend,
+            )
+            job = pool._job(
+                RunSpec(_SLOW, {"tag": "x", "seconds": 0.0}, "sel/x"), "0" * 64
+            )
+            assert pool._backend_for([job]).name == "local-process"
 
     def test_single_pending_run_without_supervision_stays_inline(self, tmp_path):
-        pool = ExperimentPool(jobs=4, cache_dir=None, progress=False)
-        job = pool._job(RunSpec(_SLOW, {"tag": "x", "seconds": 0.0}, "sel/y"), "0" * 64)
-        assert pool._backend_for([job]).name == "local-inline"
+        for backend in (None, "auto"):  # an explicit "auto" is the default
+            pool = ExperimentPool(
+                jobs=4, cache_dir=None, progress=False, backend=backend
+            )
+            job = pool._job(
+                RunSpec(_SLOW, {"tag": "x", "seconds": 0.0}, "sel/y"), "0" * 64
+            )
+            assert pool._backend_for([job]).name == "local-inline"
 
     def test_backoff_poll_timeout_is_capped(self, tmp_path):
         pool = _supervised_pool(tmp_path / "cache")
