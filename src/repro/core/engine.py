@@ -52,6 +52,12 @@ class Engine:
         self.failed_at = None
         self._stalled_until = 0.0
         self._exhausted_until = 0.0
+        #: Offload task contexts (unbounded in the *ideal* engine). The
+        #: configuration is fixed for the machine's life, so the limit
+        #: every offer checks against is resolved once.
+        self.offload_capacity = (
+            float("inf") if cfg.ideal else cfg.offload_contexts
+        )
         #: Reverse TLB (Sec. VI-A1): translates cached physical lines
         #: back to virtual addresses before data-triggered actions run.
         #: LRU over pages; misses pay a refill penalty.
@@ -76,20 +82,10 @@ class Engine:
             self._rtlb.popitem(last=False)
         return 0 if self.config.ideal else RTLB_MISS_PENALTY
 
-    @property
-    def offload_capacity(self):
-        if self.config.ideal:
-            return float("inf")
-        return self.config.offload_contexts
-
-    @property
-    def has_free_context(self):
-        return self.busy_offload < self.offload_capacity
-
     def accepting(self, at_time):
         """True when a task arriving at ``at_time`` can take a context.
 
-        With no fault state this is exactly :attr:`has_free_context`;
+        With no fault state this is whether an offload context is free;
         a failed engine never accepts, and stall/exhaustion windows
         NACK every arrival inside them.
         """
@@ -97,7 +93,7 @@ class Engine:
             return False
         if at_time < self._stalled_until or at_time < self._exhausted_until:
             return False
-        return self.has_free_context
+        return self.busy_offload < self.offload_capacity
 
     # ------------------------------------------------------------------
     # fault state (driven by repro.sim.faults)
@@ -160,7 +156,7 @@ class Engine:
             return True
         self.machine.stats.add("engine.nacks")
         self._queue.append(task)
-        if self.machine.events.active:
+        if self.machine.emit_lifecycle:
             self.machine.events.emit(
                 EngineTask(self.tile, name, False, cid, at_time, len(self._queue))
             )
@@ -178,7 +174,7 @@ class Engine:
         :meth:`submit` which parks rejected tasks in the spill queue.
         """
         if self.accepting(at_time):
-            if self.machine.events.active:
+            if self.machine.emit_lifecycle:
                 self.machine.events.emit(
                     EngineTask(self.tile, task.name, True, task.cid, at_time, len(self._queue))
                 )
@@ -189,23 +185,27 @@ class Engine:
     def nack(self, task, at_time):
         """Account a NACK for a task the invoker will retry itself."""
         self.machine.stats.add("engine.nacks")
-        if self.machine.events.active:
+        if self.machine.emit_lifecycle:
             self.machine.events.emit(
                 EngineTask(self.tile, task.name, False, task.cid, at_time, len(self._queue))
             )
 
     def _accept(self, task, at_time):
+        machine = self.machine
         self.busy_offload += 1
-        self.machine.stats.add("engine.tasks")
-        if self.machine.events.active:
-            self.machine.events.emit(
+        machine.stats.counters["engine.tasks"] += 1
+        if machine.emit_lifecycle:
+            machine.events.emit(
                 EngineTaskStart(self.tile, task.name, task.cid, at_time)
             )
         if task.on_accept is not None:
             task.on_accept(at_time)
-        ctx = self.machine.spawn(
-            self._run(task),
-            tile=self.tile,
+        # The action program runs as the context itself; completion
+        # handling hangs off the context's ``on_done`` callbacks, so no
+        # wrapper generator adds a frame to every resumption.
+        ctx = machine.scheduler.spawn(
+            task.program,
+            self.tile,
             name=task.name,
             is_engine=True,
             engine=self,
@@ -213,20 +213,9 @@ class Engine:
         )
         ctx.near_memory = task.near_memory
         ctx.cid = task.cid
+        task.engine = self
+        ctx.on_done.append(task.finish)
         return ctx
-
-    def _run(self, task):
-        """Wrapper adding completion handling around the action program."""
-        result = yield from task.program
-        machine = self.machine
-        if machine.events.active:
-            machine.events.emit(
-                EngineTaskDone(self.tile, task.name, task.cid, machine.sim_time())
-            )
-        self._release()
-        if task.on_complete is not None:
-            task.on_complete(result)
-        return result
 
     def _release(self):
         self.busy_offload -= 1
@@ -234,8 +223,8 @@ class Engine:
             task = self._queue.popleft()
             # The queued task starts when the context frees (now).
             self._accept(task, self.machine.now)
-        else:
-            self.machine.wake_all(self.context_freed)
+        elif self.context_freed.waiters:
+            self.machine.scheduler.wake_all(self.context_freed)
 
     @property
     def queued_tasks(self):
@@ -250,7 +239,11 @@ class Engine:
 
 
 class _PendingTask:
-    __slots__ = ("program", "name", "on_accept", "on_complete", "near_memory", "cid")
+    """An offloaded action program and its completion callbacks."""
+
+    __slots__ = (
+        "program", "name", "on_accept", "on_complete", "near_memory", "cid", "engine"
+    )
 
     def __init__(self, program, name, on_accept, on_complete, near_memory=False, cid=None):
         self.program = program
@@ -259,3 +252,20 @@ class _PendingTask:
         self.on_complete = on_complete
         self.near_memory = near_memory
         self.cid = cid
+        #: The engine whose task context runs the program (set on accept).
+        self.engine = None
+
+    def finish(self, machine, ctx):
+        """``on_done`` callback: the program returned on ``engine``.
+
+        Frees the task context (which may start a queued task), then
+        hands the program's return value to ``on_complete``.
+        """
+        engine = self.engine
+        if machine.emit_lifecycle:
+            machine.events.emit(
+                EngineTaskDone(engine.tile, self.name, self.cid, ctx.time)
+            )
+        engine._release()
+        if self.on_complete is not None:
+            self.on_complete(ctx.result)

@@ -36,8 +36,9 @@ class Future:
         self.fill_time = None
         self.condition = Condition("future")
         #: Correlation ID of the invoke that owns this future's span
-        #: (set by the first Invoke the future is attached to while the
-        #: event bus is active; continuation re-invokes leave it alone).
+        #: (set by the first Invoke the future is attached to while
+        #: ``machine.emit_lifecycle`` is set; continuation re-invokes
+        #: leave it alone).
         self.cid = None
 
     def fill(self, value, from_tile):
@@ -52,15 +53,18 @@ class Future:
         latency = machine.hierarchy.noc.send(
             from_tile, self.home_tile, STORE_UPDATE_BYTES
         )
-        machine.stats.add("future.fills")
+        machine.stats.counters["future.fills"] += 1
         self.value = value
         self.filled = True
         self.fill_time = machine.now + latency
-        if machine.events.active:
+        if machine.emit_lifecycle:
             machine.events.emit(
                 FutureFilled(self.home_tile, from_tile, self.cid, self.fill_time)
             )
-        machine.wake_all(self.condition, value=value, at_time=self.fill_time)
+        if self.condition.waiters:
+            machine.scheduler.wake_all(
+                self.condition, value=value, at_time=self.fill_time
+            )
 
     def __repr__(self):
         state = f"filled={self.value!r}" if self.filled else "pending"

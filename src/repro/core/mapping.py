@@ -16,6 +16,7 @@ Two mechanisms, both keyed on the allocator's pool records:
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,13 @@ class TranslationEntry:
         within = min(within, self.object_size - 1)
         return self.dram_base + index * self.object_size + within
 
-    @property
+    @cached_property
     def bank_shift(self):
-        """Low line-index bits ignored by the bank-index function."""
+        """Low line-index bits ignored by the bank-index function.
+
+        Computed on first use and kept on the instance: every LLC access
+        to a mapped pool asks for it.
+        """
         lines = max(1, self.padded_size // self.line_size)
         return max(0, lines.bit_length() - 1)
 
@@ -88,8 +93,10 @@ class MappingRegistry:
     def find(self, addr):
         """The entry covering byte address ``addr``, or ``None``."""
         idx = bisect.bisect_right(self._bases, addr) - 1
-        if idx >= 0 and self._entries[idx].contains(addr):
-            return self._entries[idx]
+        if idx >= 0:
+            entry = self._entries[idx]
+            if entry.cache_base <= addr < entry.cache_bound:
+                return entry
         return None
 
     def __len__(self):

@@ -89,7 +89,7 @@ class InvokeBuffer:
         self._prune(now)
         slot = [None]
         self._acks.append(slot)
-        self.machine.stats.add("invoke.buffered")
+        self.machine.stats.counters["invoke.buffered"] += 1
         return slot
 
     def earliest_ack(self, now):
@@ -100,7 +100,8 @@ class InvokeBuffer:
     def release(self, slot, at_time):
         """Record the slot's ACK time and wake any stalled invokes."""
         slot[0] = at_time
-        self.machine.wake_all(self.slot_freed, at_time=at_time)
+        if self.slot_freed.waiters:
+            self.machine.scheduler.wake_all(self.slot_freed, at_time=at_time)
 
 
 @dataclass
@@ -128,7 +129,7 @@ class Invoke(Op):
     args_bytes: int = 8
     result: object = field(default=None, compare=False)
     #: Correlation ID for span tracing. Allocated on first execution
-    #: while the event bus is active and reused across park/retry
+    #: while ``machine.emit_lifecycle`` is set and reused across park/retry
     #: re-executions, so one invoke is one span no matter how often a
     #: full buffer bounces it.
     cid: int = field(default=None, compare=False)
@@ -137,7 +138,8 @@ class Invoke(Op):
         runtime = machine.leviathan
         if runtime is None:
             raise RuntimeError("invoke requires a Leviathan runtime on the machine")
-        machine.stats.add("invoke.issued")
+        counters = machine.stats.counters
+        counters["invoke.issued"] += 1
 
         future = self.future
         if self.with_future:
@@ -148,7 +150,8 @@ class Invoke(Op):
 
         target, inline_at_core, near_memory = self._place(machine, runtime, ctx)
         cid = self.cid
-        if machine.events.active:
+        lifecycle = machine.emit_lifecycle
+        if lifecycle:
             if cid is None:
                 cid = self.cid = machine.next_cid()
             # Claim the future for this span: FutureFilled events carry
@@ -178,16 +181,16 @@ class Invoke(Op):
 
         if inline_at_core:
             # DYNAMIC with the actor in the invoker's L1: run right here.
-            machine.stats.add("invoke.inline_at_core")
+            counters["invoke.inline_at_core"] += 1
             name = f"{self.action}@core"
-            if machine.events.active:
+            if lifecycle:
                 machine.events.emit(EngineTaskStart(ctx.tile, name, cid, ctx.time))
             latency, value = machine.run_inline(
                 program, ctx.tile, is_engine=ctx.is_engine, name=name
             )
             if future is not None and value is not None:
                 future.fill(value, from_tile=ctx.tile)
-            if machine.events.active:
+            if lifecycle:
                 machine.events.emit(
                     EngineTaskDone(ctx.tile, name, cid, ctx.time + latency)
                 )
@@ -230,14 +233,14 @@ class Invoke(Op):
                     # Every slot is waiting on a NACKed engine: the
                     # release (and its wake) arrives later in simulated
                     # time, so park until it does.
-                    if machine.events.active:
+                    if lifecycle:
                         machine.events.emit(
                             InvokeStalled(ctx.tile, self.action, cid, ctx.time, None)
                         )
                     raise Park(buffer.slot_freed, retry=True)
                 # The next ACK time is known: stall the core until then.
                 stall = ack - ctx.time
-                if machine.events.active:
+                if lifecycle:
                     machine.events.emit(
                         InvokeStalled(ctx.tile, self.action, cid, ctx.time, stall)
                     )
@@ -248,14 +251,19 @@ class Invoke(Op):
         arrival = ctx.time + stall + 1 + transit
 
         engine = runtime.engines[target]
+        # Completion callbacks only where a buffer slot or a future
+        # needs one; the engine skips a None callback.
+        on_accept = on_complete = None
+        if buffer is not None:
 
-        def on_accept(at_time, _buffer=buffer, _slot=slot):
-            if _buffer is not None:
+            def on_accept(at_time, _buffer=buffer, _slot=slot):
                 _buffer.release(_slot, at_time)
 
-        def on_complete(value, _future=future, _engine=engine):
-            if _future is not None and value is not None:
-                _future.fill(value, from_tile=_engine.tile)
+        if future is not None:
+
+            def on_complete(value, _future=future, _tile=engine.tile):
+                if value is not None:
+                    _future.fill(value, from_tile=_tile)
 
         max_retries = machine.config.core.invoke_max_retries
         if max_retries is None:
@@ -367,14 +375,14 @@ class Invoke(Op):
         """Sec. VI-C on-core fallback for an invoke whose engine failed."""
         machine.stats.add("invoke.on_core_fallbacks")
         name = f"{self.action}@core-fallback"
-        if machine.events.active:
+        if machine.emit_lifecycle:
             machine.events.emit(EngineTaskStart(ctx.tile, name, cid, ctx.time))
         latency, value = machine.run_inline(
             program, ctx.tile, is_engine=False, name=name
         )
         if future is not None and value is not None:
             future.fill(value, from_tile=ctx.tile)
-        if machine.events.active:
+        if machine.emit_lifecycle:
             machine.events.emit(EngineTaskDone(ctx.tile, name, cid, ctx.time + latency))
         return latency
 
@@ -385,7 +393,7 @@ class Invoke(Op):
         Returns ``(tile, inline_at_core, near_memory)``.
         """
         hierarchy = machine.hierarchy
-        line = hierarchy.line_of(self.actor.addr)
+        line = self.actor.addr // hierarchy.line_size
 
         if self.tile is not None:
             return self.tile, False, False
@@ -404,7 +412,7 @@ class Invoke(Op):
         ].contains(line):
             # Cached on this tile (core L2 or the engine's L1d, e.g.
             # after a migration pulled the actor up): local engine.
-            machine.stats.add("invoke.local_engine")
+            machine.stats.counters["invoke.local_engine"] += 1
             return ctx.tile, False, False
         target = hierarchy.bank_of(line)
         near_memory = False
@@ -426,7 +434,7 @@ class Invoke(Op):
         if target != ctx.tile:
             runtime.migration_ticks += 1
             if runtime.migration_ticks % machine.config.leviathan.migration_period == 0:
-                machine.stats.add("invoke.migrations")
+                machine.stats.counters["invoke.migrations"] += 1
                 return ctx.tile, False, False
-            machine.stats.add("invoke.remote")
+            machine.stats.counters["invoke.remote"] += 1
         return target, False, near_memory

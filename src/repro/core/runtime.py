@@ -26,12 +26,10 @@ class LeviathanHooks(HierarchyHooks):
 
     def __init__(self, runtime):
         self.runtime = runtime
-
-    def bank_shift(self, line):
-        return self.runtime.mapping.bank_shift(line)
-
-    def translate(self, line):
-        return self.runtime.mapping.translate(line)
+        # The mapping registry answers both address hooks itself; binding
+        # its methods here saves a forwarding call on every LLC access.
+        self.bank_shift = runtime.mapping.bank_shift
+        self.translate = runtime.mapping.translate
 
     def on_miss(self, level, tile, line):
         morph = self.runtime.find_morph(line, level)
@@ -230,12 +228,12 @@ class Leviathan:
         name = f"{task.name}@core-fallback"
 
         def wrapper():
-            if machine.events.active:
+            if machine.emit_lifecycle:
                 machine.events.emit(
                     EngineTaskStart(tile, name, task.cid, machine.sim_time())
                 )
             result = yield from task.program
-            if machine.events.active:
+            if machine.emit_lifecycle:
                 machine.events.emit(
                     EngineTaskDone(tile, name, task.cid, machine.sim_time())
                 )

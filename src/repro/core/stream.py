@@ -204,7 +204,7 @@ class Stream(Morph):
             if self.terminated:
                 raise StreamTerminated()
             self.machine.stats.add("stream.push_blocks")
-            if self.machine.events.active:
+            if self.machine.emit_lifecycle:
                 self.machine.events.emit(
                     StreamBlocked(self.name, "producer", self.machine.sim_time())
                 )
@@ -217,7 +217,7 @@ class Stream(Morph):
         self.machine.mem[self.get_actor_addr(index)] = obj
         self.tail += 1
         self.machine.stats.add("stream.pushes")
-        if self.machine.events.active:
+        if self.machine.emit_lifecycle:
             self.machine.events.emit(
                 StreamPush(
                     self.name,
@@ -246,7 +246,7 @@ class Stream(Morph):
             if self.producer_done:
                 return STREAM_END
             self.machine.stats.add("stream.consume_blocks")
-            if self.machine.events.active:
+            if self.machine.emit_lifecycle:
                 self.machine.events.emit(
                     StreamBlocked(self.name, "consumer", self.machine.sim_time())
                 )
@@ -276,7 +276,7 @@ class Stream(Morph):
         self.head = index + 1
         self.machine.stats.add("stream.pops")
         messaged = self.head % self.entries_per_line == 0 or self.head >= self.tail
-        if self.machine.events.active:
+        if self.machine.emit_lifecycle:
             self.machine.events.emit(
                 StreamPop(
                     self.name,

@@ -98,13 +98,30 @@ class ProfileReport:
 
     @classmethod
     def from_profile(cls, profile, top=30):
-        stats = pstats.Stats(profile)
+        """Digest a :class:`cProfile.Profile` that has run.
+
+        Reads the raw entries (``profile.getstats()``) rather than
+        :mod:`pstats`, which keys functions by ``(file, line, name)``
+        and keeps only the last entry per key. Every dataclass-generated
+        ``__init__`` shares the label ``("<string>", 2, "__init__")``,
+        so pstats drops all but one of them, with their calls and own
+        time. Entries that share a label are summed here instead.
+        """
+        merged = {}
+        for entry in profile.getstats():
+            code = entry.code
+            if isinstance(code, str):  # a builtin, labelled as pstats does
+                key = ("~", 0, code)
+            else:
+                key = (code.co_filename, code.co_firstlineno, code.co_name)
+            row = merged.setdefault(key, [0, 0.0, 0.0])
+            row[0] += entry.callcount
+            row[1] += entry.inlinetime
+            row[2] += entry.totaltime
         total = 0.0
         subsystems = {}
         rows = []
-        for (filename, lineno, funcname), (cc, nc, tt, ct, _callers) in (
-            stats.stats.items()
-        ):
+        for (filename, lineno, funcname), (nc, tt, ct) in merged.items():
             total += tt
             label = classify(filename)
             subsystems[label] = subsystems.get(label, 0.0) + tt

@@ -12,6 +12,12 @@ lines at the maximum re-reference prediction so single-use streams
 (graph edge lists, logs) cannot displace the reused working set.
 """
 
+from operator import attrgetter
+
+#: LRU victim key. A C-level getter: ``min`` calls it once per line in
+#: the set on every eviction.
+_LRU_TICK = attrgetter("lru_tick")
+
 
 class CacheLine:
     """Metadata for one resident cache line."""
@@ -132,20 +138,21 @@ class SetAssocCache:
         entry.dirty = dirty
         entry.morph = morph
         entry.lru_tick = tick
-        entry.rrpv = self._insertion_rrpv()
+        if self.policy == "brrip":
+            entry.rrpv = self._brrip_insertion_rrpv()
+        else:
+            entry.rrpv = self.RRIP_INSERT
         cache_set[line] = entry
         return victim
 
-    def _insertion_rrpv(self):
-        if self.policy == "brrip":
-            # Bimodal: nearly all insertions predict distant re-reference
-            # (scan-resistant); one in 32 gets the SRRIP insertion so a
-            # new working set can still ramp in.
-            self._brrip_counter += 1
-            if self._brrip_counter % 32 == 0:
-                return self.RRIP_INSERT
-            return self.RRIP_MAX
-        return self.RRIP_INSERT
+    def _brrip_insertion_rrpv(self):
+        # Bimodal: nearly all insertions predict distant re-reference
+        # (scan-resistant); one in 32 gets the SRRIP insertion so a new
+        # working set can still ramp in.
+        self._brrip_counter += 1
+        if self._brrip_counter % 32 == 0:
+            return self.RRIP_INSERT
+        return self.RRIP_MAX
 
     def invalidate(self, line):
         """Remove ``line``; return its :class:`CacheLine` or ``None``."""
@@ -167,7 +174,7 @@ class SetAssocCache:
     # ------------------------------------------------------------------
     def _choose_victim(self, cache_set):
         if self.policy == "lru":
-            return min(cache_set.values(), key=lambda e: e.lru_tick)
+            return min(cache_set.values(), key=_LRU_TICK)
         # RRIP: evict a line at max RRPV, aging everyone until one exists.
         while True:
             for entry in cache_set.values():

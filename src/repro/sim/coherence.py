@@ -31,12 +31,6 @@ class Directory:
         self.stats = stats
         self._entries = {}
 
-    def entry(self, line):
-        ent = self._entries.get(line)
-        if ent is None:
-            ent = self._entries[line] = DirectoryEntry()
-        return ent
-
     def peek(self, line):
         """The entry if it exists, without creating one."""
         return self._entries.get(line)
@@ -51,7 +45,9 @@ class Directory:
 
     def record_fill(self, line, tile, exclusive):
         """A private cache at ``tile`` filled ``line``."""
-        ent = self.entry(line)
+        ent = self._entries.get(line)
+        if ent is None:
+            ent = self._entries[line] = DirectoryEntry()
         ent.sharers.add(tile)
         if exclusive:
             ent.owner = tile

@@ -7,12 +7,23 @@ access profiles (:class:`repro.sim.stats.AccessProfile`), live energy
 metering (:class:`repro.sim.energy.EnergyMeter`) -- *subscribe* instead
 of being hardwired into the hot paths.
 
-Emission is guard-checked: components test ``bus.active`` (a plain
-attribute) before constructing an event, so a machine with **zero
-subscribers pays one attribute load and branch per emit point** and
-never allocates an event object. Attaching any subscriber flips the
-guard; events are then constructed and dispatched to the handlers
-registered for their exact type.
+Emission is guard-checked, so a machine with **zero subscribers pays
+one attribute load and branch per emit point** and never allocates an
+event object. Each guard follows the registry for the events it
+builds, refreshed through :meth:`EventBus.on_change`:
+
+- access-path sites (hierarchy, NoC, DRAM) cache ``bus.wants(T)`` for
+  their own event type ``T``;
+- the offload and stream lifecycle sites (:data:`LIFECYCLE_EVENTS`)
+  share one flag, ``Machine.emit_lifecycle``, which is True while some
+  subscriber wants any lifecycle event; correlation IDs are drawn only
+  then;
+- the rare resilience sites (faults, watchdog, degradation) test the
+  coarse ``bus.active``.
+
+So an :class:`~repro.sim.stats.AccessProfile` (``MemoryAccess`` only)
+builds no cache, NoC or lifecycle event. A built event is dispatched to
+the handlers registered for its exact type.
 
 Subscribers must not advance simulated time or mutate machine state:
 the bus is an observability plane, and simulations are bit-identical
@@ -42,8 +53,9 @@ class EventBus:
     """A subscriber registry dispatching typed events by exact type.
 
     ``active`` is True whenever at least one subscriber is registered
-    (for any event type); emitters use it as the cheap guard before
-    constructing an event.
+    (for any event type); the rare resilience emit sites use it as
+    their guard. Hot sites cache narrower flags through
+    :meth:`on_change` instead.
     """
 
     __slots__ = ("_handlers", "active", "_listeners")
@@ -105,11 +117,11 @@ class EventBus:
     def on_change(self, listener):
         """Call ``listener(bus)`` now and after every (un)subscription.
 
-        Hot emit sites pay one attribute load per emit when they guard on
-        ``bus.active``; sites that want to skip even *constructing* events
-        nobody listens for cache ``bus.wants(EventType)`` in a local flag
-        and use this hook to keep the flag coherent with the registry.
-        Listeners must not (un)subscribe from inside the callback.
+        Hot emit sites skip even *constructing* events nobody listens
+        for: they cache ``bus.wants(EventType)`` (for one type or a
+        group of them) in a flag and use this hook to keep the flag
+        coherent with the registry. Listeners must not (un)subscribe
+        from inside the callback.
         """
         self._listeners.append(listener)
         listener(self)
@@ -380,6 +392,24 @@ class StreamBlocked:
     stream: str
     side: str
     time: float = None
+
+
+#: The offload and stream lifecycle events: the vocabulary span
+#: consumers stitch by correlation ID. Their emit sites guard on
+#: ``Machine.emit_lifecycle``, and every span consumer subscribes to
+#: each offload lifecycle event, so a consumer sees the same events and
+#: IDs whichever other observers are attached.
+LIFECYCLE_EVENTS = (
+    InvokeDispatched,
+    InvokeStalled,
+    EngineTask,
+    EngineTaskStart,
+    EngineTaskDone,
+    FutureFilled,
+    StreamPush,
+    StreamPop,
+    StreamBlocked,
+)
 
 
 @dataclass

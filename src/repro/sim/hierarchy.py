@@ -869,7 +869,7 @@ class Hierarchy:
         if apply is not None:
             apply()
         fill = self.fill_engine
-        if fill._hook_depth == 0:
+        if fill._pending_destructors and fill._hook_depth == 0:
             fill.drain_destructors()
         return latency, outcomes
 

@@ -186,9 +186,14 @@ class AccessProfile:
         result = event.result
         self.requests += 1
         self.by_tile[event.tile] += 1
-        self.outcomes.update(result.outcomes)
-        terminal = result.served_by
-        if terminal is not None:
+        # A plain loop: ``Counter.update`` pays an abc Mapping check
+        # (three calls) per access before it counts anything.
+        steps = result.outcomes
+        outcomes = self.outcomes
+        for step in steps:
+            outcomes[step] += 1
+        if steps:
+            terminal = steps[-1]
             self.served_by[terminal] += 1
             self.latency_by_level[terminal[0]] += result.latency
 

@@ -12,7 +12,7 @@ engines and installs its hierarchy hooks.
 
 from repro.sim.address import AddressSpace
 from repro.sim.energy import EnergyModel
-from repro.sim.events import EventBus
+from repro.sim.events import LIFECYCLE_EVENTS, EventBus
 from repro.sim.hierarchy import Hierarchy
 from repro.sim.observers import machine_observers
 from repro.sim.scheduler import Scheduler
@@ -41,6 +41,7 @@ class Machine:
         "engines",
         "leviathan",
         "_cid",
+        "emit_lifecycle",
         "faults",
         "request_classes",
     )
@@ -72,10 +73,16 @@ class Machine:
         #: The Leviathan runtime, when one is installed on this machine.
         self.leviathan = None
         #: Correlation-ID source for causal span tracing. IDs are only
-        #: drawn while the event bus is active, so a subscriber-free
-        #: machine pays nothing; they never influence timing, keeping
-        #: runs bit-identical with and without observers.
+        #: drawn while ``emit_lifecycle`` is set, so a machine without a
+        #: span consumer pays nothing; they never influence timing,
+        #: keeping runs bit-identical with and without observers.
         self._cid = 0
+        #: True while some subscriber wants a lifecycle event
+        #: (:data:`~repro.sim.events.LIFECYCLE_EVENTS`): the offload,
+        #: engine, future and stream sites build those events, and
+        #: invokes draw correlation IDs, only then.
+        self.emit_lifecycle = False
+        self.events.on_change(self._refresh_lifecycle_flag)
         #: The attached :class:`~repro.sim.faults.FaultController`, or
         #: None (the default: no fault injection, zero overhead -- emit
         #: sites guard on ``faults is None`` like ``events.active``).
@@ -90,6 +97,9 @@ class Machine:
         # observer (installed sessions, heartbeat writers).
         for observer in machine_observers:
             observer(self)
+
+    def _refresh_lifecycle_flag(self, bus):
+        self.emit_lifecycle = any(bus.wants(event) for event in LIFECYCLE_EVENTS)
 
     # ------------------------------------------------------------------
     # execution

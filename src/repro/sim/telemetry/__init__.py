@@ -1,7 +1,8 @@
 """Telemetry over the event bus: metrics, causal spans, Perfetto export.
 
 Nothing here runs unless attached: the simulator's emit sites are
-guarded by ``events.active``, so a machine without telemetry pays one
+guarded by flags that follow the bus registry (the lifecycle sites by
+``Machine.emit_lifecycle``), so a machine without telemetry pays one
 attribute load per potential emit and allocates nothing. Attach a
 :class:`Telemetry` to one machine, or install a
 :class:`TelemetrySession` to capture every machine an experiment

@@ -19,8 +19,9 @@ Two pieces:
   ``--telemetry-out`` session is installed. Like all telemetry it is a
   pure observer -- simulated results are bit-identical with and
   without it -- but serving workloads attach it unconditionally so
-  correlation-ID draws (which only happen while the bus has
-  subscribers) are identical across configurations.
+  correlation-ID draws (which only happen while some subscriber wants
+  a lifecycle event, ``Machine.emit_lifecycle``) are identical across
+  configurations.
 
 Usage::
 

@@ -378,8 +378,9 @@ def _run_kv(
                     name=f"kv-scan{c}",
                 )
                 classes[f"kv-scan{c}"] = "scan"
-        # Attached unconditionally: pure observer, and keeping the bus
-        # active makes correlation-id draws identical across configs.
+        # Attached unconditionally: pure observer, and keeping the
+        # lifecycle events wanted makes correlation-id draws identical
+        # across configs.
         probe = RequestLatencyProbe(machine, classes)
         for c, requests in enumerate(schedules):
             if c in streams:

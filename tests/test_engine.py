@@ -143,3 +143,72 @@ class TestRtlb:
         machine.spawn(prog(), tile=0)
         machine.run()
         assert machine.stats["engine.rtlb_lookups"] >= 1
+
+
+class TestLifecycleOrder:
+    def test_freed_context_starts_the_queued_task_before_the_fill(self):
+        """Two REMOTE invokes contend for one offload context. The second
+        NACKs; when the first finishes, its context goes to the queued
+        task at the same time, and only then does the first future fill.
+        The times pin the whole round trip: dispatch, NoC transit,
+        action, release and store-update."""
+        from repro.core.actor import Actor, action
+        from repro.core.future import WaitFuture
+        from repro.core.offload import Invoke, Location
+        from repro.sim import events
+        from repro.sim.config import SystemConfig
+        from repro.sim.ops import Load
+
+        class Cell(Actor):
+            SIZE = 8
+
+            @action
+            def read(self, env):
+                yield Load(self.addr, 8)
+                yield Compute(50)
+                return 7
+
+        machine = Machine(
+            SystemConfig(n_tiles=4).scaled(**{"engine.task_contexts": 2})
+        )
+        runtime = Leviathan(machine)
+        cell = runtime.allocator_for(Cell, capacity=8).allocate()
+        seen = []
+        for event_type in (
+            events.InvokeDispatched,
+            events.InvokeStalled,
+            events.EngineTask,
+            events.EngineTaskStart,
+            events.EngineTaskDone,
+            events.FutureFilled,
+        ):
+            machine.events.subscribe(
+                event_type,
+                lambda ev: seen.append((type(ev).__name__, ev.cid, ev.time)),
+            )
+        values = []
+
+        def client():
+            future = yield Invoke(
+                cell, "read", location=Location.REMOTE, with_future=True
+            )
+            values.append((yield WaitFuture(future)))
+
+        machine.spawn(client(), tile=0)
+        machine.spawn(client(), tile=1)
+        machine.run()
+
+        assert values == [7, 7]
+        assert seen == [
+            ("InvokeDispatched", 1, 0.0),
+            ("EngineTask", 1, 2.0),
+            ("EngineTaskStart", 1, 2.0),
+            ("InvokeDispatched", 2, 0.0),
+            ("EngineTask", 2, 8.0),
+            ("EngineTaskDone", 1, 148.0612244897959),
+            ("EngineTaskStart", 2, 148.0612244897959),
+            ("FutureFilled", 1, 149.0612244897959),
+            ("EngineTaskDone", 2, 175.0612244897959),
+            ("FutureFilled", 2, 181.0612244897959),
+        ]
+        assert machine.stats["engine.nacks"] == 1

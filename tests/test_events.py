@@ -12,7 +12,16 @@ from repro.sim.events import (
     FlitHop,
     MemoryAccess,
 )
-from repro.sim.ops import Load, Store
+from repro.core.actor import Actor, action
+from repro.core.future import WaitFuture
+from repro.core.offload import Invoke, Location
+from repro.core.runtime import Leviathan
+from repro.sim.config import small_config
+from repro.sim.ops import Compute, Load, Store
+from repro.sim.stats import AccessProfile
+from repro.sim.system import Machine
+from repro.sim.faults import FaultPlan
+from repro.sim.telemetry import FlightRecorder, Telemetry, TelemetrySession
 from tests.conftest import run_program
 
 
@@ -200,3 +209,90 @@ class TestZeroSubscriberCost:
         machine.events.subscribe(events.CacheAccess, lambda e: None)
         with pytest.raises(AssertionError, match="constructed"):
             machine.hierarchy.access(0, 0x10000, 8, is_write=False)
+
+    def test_access_profile_builds_no_lifecycle_event(self, monkeypatch):
+        """An AccessProfile wants only MemoryAccess: invokes must neither
+        build offload lifecycle events nor draw correlation IDs."""
+        for event_type in _OFFLOAD_LIFECYCLE_EVENTS:
+            monkeypatch.setattr(event_type, "__init__", _lifecycle_trap)
+        machine = Machine(small_config())
+        profile = AccessProfile(machine)
+        values = _run_two_invokes(machine)
+        assert values == [7, 7]
+        assert profile.requests > 0  # the profile saw the engine's loads
+        assert machine._cid == 0
+
+    def test_lifecycle_trap_fires_with_telemetry(self, monkeypatch):
+        """Sanity-check the trap: a span consumer needs the events."""
+        for event_type in _OFFLOAD_LIFECYCLE_EVENTS:
+            monkeypatch.setattr(event_type, "__init__", _lifecycle_trap)
+        with TelemetrySession():
+            machine = Machine(small_config())
+            AccessProfile(machine)
+            with pytest.raises(AssertionError, match="lifecycle event built"):
+                _run_two_invokes(machine)
+
+    def test_every_span_consumer_wants_each_offload_lifecycle_event(self):
+        """Lifecycle events are built only while someone wants one; a
+        span consumer must want every offload lifecycle event, so the
+        events and cids it records never depend on which other
+        observers are attached."""
+        offload_events = set(events.LIFECYCLE_EVENTS) - {
+            events.StreamPush,
+            events.StreamPop,
+            events.StreamBlocked,
+        }
+        machine = Machine(small_config())
+        AccessProfile(machine)
+        assert not machine.emit_lifecycle
+        for attach in (
+            Telemetry,
+            FlightRecorder,
+            FaultPlan.parse("seed:1").attach,
+        ):
+            consumer = attach(machine)
+            assert machine.emit_lifecycle
+            assert all(machine.events.wants(t) for t in offload_events)
+            consumer.detach()
+            assert not machine.emit_lifecycle
+
+
+#: Offload lifecycle events every invoke with a future emits.
+_OFFLOAD_LIFECYCLE_EVENTS = [
+    events.InvokeDispatched,
+    events.EngineTask,
+    events.EngineTaskStart,
+    events.EngineTaskDone,
+    events.FutureFilled,
+]
+
+
+def _lifecycle_trap(self, *args, **kwargs):
+    raise AssertionError(f"lifecycle event built: {type(self).__name__}")
+
+
+class _Cell(Actor):
+    SIZE = 8
+
+    @action
+    def read(self, env):
+        yield Load(self.addr, 8)
+        yield Compute(5)
+        return 7
+
+
+def _run_two_invokes(machine):
+    """Two REMOTE invokes with futures on a fresh Leviathan machine."""
+    runtime = Leviathan(machine)
+    cell = runtime.allocator_for(_Cell, capacity=8).allocate()
+    values = []
+
+    def client():
+        for _ in range(2):
+            future = yield Invoke(
+                cell, "read", location=Location.REMOTE, with_future=True
+            )
+            values.append((yield WaitFuture(future)))
+
+    run_program(machine, client())
+    return values

@@ -1,9 +1,11 @@
 """The profiler harness: attribution, collapsed stacks, pool artifacts."""
 
+import cProfile
 import pstats
 import re
 import time
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
@@ -121,6 +123,39 @@ class TestAttribution:
         assert payload["fingerprint"]["python"]
         assert payload["subsystems"]
         assert outdir == str(tmp_path / "prof")
+
+
+class TestRawEntries:
+    def test_dataclass_inits_are_summed_not_dropped(self):
+        """Every dataclass-generated ``__init__`` carries the label
+        ``("<string>", 2, "__init__")``. pstats keeps one entry per
+        label, so a report built from it loses all but one class's
+        calls and own time; the report sums the raw entries instead."""
+
+        @dataclass
+        class First:
+            a: int
+
+        @dataclass
+        class Second:
+            b: int
+
+        def build():
+            for i in range(1000):
+                First(i)
+                Second(i)
+
+        profile = cProfile.Profile()
+        profile.runcall(build)
+        report = ProfileReport.from_profile(profile, top=1000)
+        inits = [
+            row
+            for row in report.hot
+            if row["function"] == "__init__" and row["module"] == "<string>"
+        ]
+        assert sum(row["calls"] for row in inits) == 2000
+        own = sum(entry.inlinetime for entry in profile.getstats())
+        assert report.total_s == pytest.approx(own)
 
 
 class TestFoldStacks:
