@@ -117,7 +117,7 @@ class Engine:
         for task in pending:
             self.runtime.reroute_task(self, task, at_time)
         # Waiters on context_freed will never get one here.
-        machine.wake_all(self.context_freed)
+        machine.scheduler.wake_all(self.context_freed)
 
     def stall(self, until):
         """NACK every offload arriving before ``until`` (transient stall)."""

@@ -154,11 +154,11 @@ class ThreadPairStream:
         yield Compute(4)
         self._values[self.tail] = obj
         self.tail += 1
-        self.machine.wake_all(self.data_avail)
+        self.machine.scheduler.wake_all(self.data_avail)
 
     def close(self):
         self.done = True
-        self.machine.wake_all(self.data_avail)
+        self.machine.scheduler.wake_all(self.data_avail)
 
     def pop(self):
         while self.head >= self.tail:
@@ -169,5 +169,5 @@ class ThreadPairStream:
         yield Compute(4)
         value = self._values.pop(self.head)
         self.head += 1
-        self.machine.wake_all(self.space_avail)
+        self.machine.scheduler.wake_all(self.space_avail)
         return value

@@ -145,7 +145,7 @@ class Stream(Morph):
         except StreamTerminated:
             self.machine.stats.add("stream.terminated_early")
         self.producer_done = True
-        self.machine.wake_all(self.data_avail)
+        self.machine.scheduler.wake_all(self.data_avail)
 
     def _start_degraded(self):
         machine = self.machine
@@ -184,7 +184,7 @@ class Stream(Morph):
             self.machine.stats.add("stream.terminated_early")
         self.producer_done = True
         self._fallback.close()
-        self.machine.wake_all(self.data_avail)
+        self.machine.scheduler.wake_all(self.data_avail)
 
     def buffer_slot_addr(self, index):
         return self.buffer_base + (index % self.buffer_entries) * self.padded_size
@@ -227,7 +227,8 @@ class Stream(Morph):
                     tile=self.producer_tile,
                 )
             )
-        self.machine.wake_all(self.data_avail)
+        if self.data_avail.waiters:
+            self.machine.scheduler.wake_all(self.data_avail)
 
     # ------------------------------------------------------------------
     # consumer side
@@ -298,16 +299,17 @@ class Stream(Morph):
             self.machine.hierarchy.l2[self.consumer_tile].invalidate(old_line)
             self.head_engine = self.head
             self.machine.stats.add("stream.pop_messages")
-            self.machine.wake_all(self.space_avail)
+            if self.space_avail.waiters:
+                self.machine.scheduler.wake_all(self.space_avail)
         yield Compute(1)
 
     def terminate(self):
         """Consumer-initiated termination: the producer's next ``push``
         raises :class:`StreamTerminated` and the producer thread exits."""
         self.terminated = True
-        self.machine.wake_all(self.space_avail)
+        self.machine.scheduler.wake_all(self.space_avail)
         if self._fallback is not None:
-            self.machine.wake_all(self._fallback.space_avail)
+            self.machine.scheduler.wake_all(self._fallback.space_avail)
 
     # ------------------------------------------------------------------
     # degraded mode (Sec. VI-C message-queue fallback)

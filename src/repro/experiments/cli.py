@@ -95,6 +95,9 @@ _EXPERIMENTS = {
 for _name, (_runner, _desc) in _EXPERIMENTS.items():
     registry.register(_name, _runner, _desc)
 
+#: Positional names that are commands, not registered experiments.
+_COMMANDS = ("all", "list", "telemetry", "status", "explain", "bench")
+
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
@@ -275,6 +278,11 @@ def main(argv=None):
             f"--run-retries must be >= 1 (1 disables retry), "
             f"got {args.run_retries}"
         )
+    if args.experiment not in _COMMANDS and args.experiment not in registry.names():
+        parser.error(
+            f"unknown experiment {args.experiment!r}; "
+            f"known: {', '.join(registry.names())}"
+        )
 
     if args.experiment == "bench":
         return _run_bench(args)
@@ -370,10 +378,6 @@ def main(argv=None):
         error_text = None
         try:
             experiment = registry.run(name, pool=pool)
-        except KeyError:
-            # Unknown experiment name: a usage error, not a workload
-            # crash -- propagate as before.
-            raise
         except SweepInterrupted as exc:
             # Graceful drain already happened (manifest flushed and
             # fsynced); exit nonzero with the resume hint.

@@ -1,8 +1,8 @@
 """ASCII rendering of reproduced figures.
 
-The paper's figures are bar charts and line plots; the CLI renders
-their reproduced counterparts as text so results are inspectable in a
-terminal and in CI logs without a plotting dependency.
+The CLI renders the reproduced figures' speedups as text bar charts,
+so results are inspectable in a terminal and in CI logs without a
+plotting dependency.
 """
 
 
@@ -32,34 +32,6 @@ def bar_chart(items, width=46, unit="", baseline=None):
             else:
                 bar = bar[:marker] + "|" + bar[marker + 1 :]
         lines.append(f"{str(label):<{label_width}}  {bar} {value:.3g}{unit}")
-    return "\n".join(lines)
-
-
-def line_plot(points, width=50, height=10, x_label="", y_label=""):
-    """Render ``[(x, y), ...]`` as a small ASCII scatter/line plot."""
-    if len(points) < 2:
-        return "(need at least two points)"
-    xs = [float(x) for x, _ in points]
-    ys = [float(y) for _, y in points]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for x, y in zip(xs, ys):
-        col = int((x - x_lo) / x_span * (width - 1))
-        row = int((y - y_lo) / y_span * (height - 1))
-        grid[height - 1 - row][col] = "*"
-    lines = []
-    for i, row in enumerate(grid):
-        y_val = y_hi - i * y_span / (height - 1)
-        lines.append(f"{y_val:10.3g} |" + "".join(row))
-    lines.append(" " * 11 + "+" + "-" * width)
-    lines.append(
-        " " * 12 + f"{x_lo:<.4g}" + " " * max(1, width - 12) + f"{x_hi:.4g}"
-    )
-    if x_label or y_label:
-        lines.append(f"            x: {x_label}   y: {y_label}")
     return "\n".join(lines)
 
 

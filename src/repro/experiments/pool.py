@@ -513,32 +513,19 @@ class ExperimentPool:
         self._pending_total = 0
         self._log_handle = None
         self._interrupt = None
-        self._resumed = self._load_manifest() if (resume and cache_dir) else set()
+        self._resumed = set()
+        if resume and cache_dir:
+            from repro.experiments.monitor import read_manifest
+
+            self._resumed = {
+                e.get("hash") for e in read_manifest(cache_dir) if e.get("status") == "ok"
+            }
         if log_path:
             self._log_handle = ensure_run_logging(log_path, run_id=self.run_id)
 
     # -- journal and cache ---------------------------------------------
     def _manifest_path(self):
         return os.path.join(self.cache_dir, "manifest.jsonl")
-
-    def _load_manifest(self):
-        """Hashes recorded ``ok``; tolerates a truncated final line."""
-        done = set()
-        try:
-            with open(self._manifest_path()) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except ValueError:
-                        continue  # killed mid-append; the run is not done
-                    if entry.get("status") == "ok":
-                        done.add(entry.get("hash"))
-        except FileNotFoundError:
-            pass
-        return done
 
     def _append_manifest(self, outcome, cached):
         if not self.cache_dir:

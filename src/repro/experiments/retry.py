@@ -6,9 +6,11 @@ every failed run attempt into one of two buckets:
 - **transient** -- the *host* failed, not the workload: the worker
   process died (OOM killer, SIGKILL, a chaos hook), the run exceeded
   its wall-clock deadline, its heartbeat went stale (hung worker), or
-  the backend hit an :class:`OSError` dispatching it. Transient
-  failures are requeued with seeded exponential backoff until
-  :attr:`RetryPolicy.max_attempts` is exhausted.
+  the backend hit an :class:`OSError` dispatching it. The supervisor
+  names the kind itself (the reason it killed a worker,
+  ``worker-died`` for a worker that died unasked, ``dispatch-error``
+  for a failed submit) and requeues the run with seeded exponential
+  backoff until :attr:`RetryPolicy.max_attempts` is exhausted.
 - **permanent** -- the *workload* raised. Re-running a deterministic
   simulator on the same kwargs reproduces the same exception, so these
   are journaled as ``error`` outcomes immediately (the pre-existing
@@ -23,14 +25,12 @@ its failure handling.
 import hashlib
 from dataclasses import dataclass
 
-#: Failure kinds the supervisor may attach to a dead attempt.
+#: Failure kinds the supervisor attaches to a failed attempt; every one
+#: is transient.
 WORKER_DIED = "worker-died"
 TIMEOUT = "timeout"
 HUNG = "hung"
 DISPATCH_ERROR = "dispatch-error"
-
-#: Kinds that are retried; anything else is permanent.
-TRANSIENT_KINDS = frozenset({WORKER_DIED, TIMEOUT, HUNG, DISPATCH_ERROR})
 
 #: Manifest/exception type names for terminal transient failures.
 KIND_ERROR_TYPES = {
@@ -39,32 +39,6 @@ KIND_ERROR_TYPES = {
     HUNG: "RunHung",
     DISPATCH_ERROR: "DispatchError",
 }
-
-
-def is_transient(kind):
-    """True when failure ``kind`` is worth another attempt."""
-    return kind in TRANSIENT_KINDS
-
-
-def classify_exception(exc):
-    """Failure kind for an exception raised *around* a run (not by it).
-
-    ``BrokenProcessPool``/``BrokenExecutor`` means a worker process
-    vanished; ``OSError`` (fork failure, pipe error) is a host-side
-    dispatch problem; ``TimeoutError`` maps to the deadline kind.
-    Anything else is the workload's own exception: permanent.
-    """
-    try:
-        from concurrent.futures.process import BrokenProcessPool
-    except ImportError:  # pragma: no cover
-        BrokenProcessPool = ()
-    if isinstance(exc, BrokenProcessPool):
-        return WORKER_DIED
-    if isinstance(exc, TimeoutError):
-        return TIMEOUT
-    if isinstance(exc, OSError):
-        return DISPATCH_ERROR
-    return "permanent"
 
 
 @dataclass(frozen=True)

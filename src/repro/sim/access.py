@@ -8,7 +8,7 @@ the request through, accumulating latency and recording a per-level
 outcome at each step. :meth:`Hierarchy.access` folds the per-line
 requests into one :class:`AccessResult` -- the latency of the slowest
 line plus the concatenated outcome trail -- which is what operations,
-the tracer, and experiment reports consume.
+access profiles, and experiment reports consume.
 
 Outcomes are ``(level, outcome)`` pairs. Levels: ``l1``, ``l2``,
 ``engine_l1``, ``llc``, ``dram``. Outcomes:

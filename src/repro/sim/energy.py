@@ -11,16 +11,13 @@ flit-hop in between).
 Absolute joules are not meaningful for the reproduction -- every figure
 in the paper normalizes energy to the baseline -- but the ratios are.
 
-:class:`EnergyModel` computes energy post-hoc from the counters;
-:class:`EnergyMeter` is the event-bus subscriber that accumulates the
-memory-side terms *live* (per cache access, DRAM cycle, and flit-hop as
-they happen), which lets experiments attribute energy to execution
-windows instead of whole runs.
+:class:`EnergyModel` computes energy post-hoc from a run's counters,
+the one energy path: ``Machine.energy_pj`` totals it, and every
+:class:`~repro.workloads.common.RunResult` carries its per-counter split
+as ``energy_breakdown``.
 """
 
 from dataclasses import dataclass, field
-
-from repro.sim.events import CacheAccess, DramAccess, FlitHop
 
 
 @dataclass
@@ -86,85 +83,3 @@ class EnergyModel:
             if value:
                 out[counter] = value
         return out
-
-
-#: CacheAccess.level -> EnergyParams attribute.
-_CACHE_LEVEL_PARAMS = {
-    "l1": "l1_access",
-    "l2": "l2_access",
-    "llc": "llc_access",
-    "engine_l1": "engine_l1_access",
-}
-
-
-class EnergyMeter:
-    """Live memory-side energy accumulation from the event bus.
-
-    Each :class:`~repro.sim.events.CacheAccess`,
-    :class:`~repro.sim.events.DramAccess`, and
-    :class:`~repro.sim.events.FlitHop` event adds its per-event cost, so
-    the meter's totals for those terms match :class:`EnergyModel` applied
-    to the same run's counters -- but can be read (or reset) at any
-    point during execution.
-
-    ::
-
-        meter = EnergyMeter(machine)
-        ... run region of interest ...
-        print(meter.total_pj, meter.breakdown_pj())
-        meter.detach()
-    """
-
-    def __init__(self, machine=None, params=None):
-        self.params = params or EnergyParams()
-        self.total_pj = 0.0
-        #: Per-term picojoules: cache levels, 'dram', 'mc_cache', 'noc'.
-        self.terms = {}
-        self._bus = None
-        if machine is not None:
-            self.attach(machine)
-
-    def attach(self, machine):
-        self._bus = machine.events
-        self._bus.subscribe(CacheAccess, self._on_cache)
-        self._bus.subscribe(DramAccess, self._on_dram)
-        self._bus.subscribe(FlitHop, self._on_flit)
-        return self
-
-    def detach(self):
-        if self._bus is not None:
-            self._bus.unsubscribe(CacheAccess, self._on_cache)
-            self._bus.unsubscribe(DramAccess, self._on_dram)
-            self._bus.unsubscribe(FlitHop, self._on_flit)
-        return self
-
-    def reset(self):
-        """Zero the accumulators (e.g. after warmup)."""
-        self.total_pj = 0.0
-        self.terms = {}
-
-    def _add(self, term, pj):
-        self.total_pj += pj
-        self.terms[term] = self.terms.get(term, 0.0) + pj
-
-    def _on_cache(self, event):
-        pj = getattr(self.params, _CACHE_LEVEL_PARAMS[event.level])
-        self._add(event.level, pj)
-
-    def _on_dram(self, event):
-        # Every controller access probes the FIFO cache; only accesses
-        # that cycle DRAM (misses, and write hits draining through) pay
-        # the DRAM term -- mirroring the 'dram.accesses' counter.
-        self._add("mc_cache", self.params.mc_cache_access)
-        if event.dram_cycled:
-            self._add("dram", self.params.dram_access)
-
-    def _on_flit(self, event):
-        self._add("noc", event.flits * event.hops * self.params.noc_flit_hop)
-
-    def breakdown_pj(self):
-        """Per-term picojoules accumulated so far."""
-        return dict(self.terms)
-
-    def __repr__(self):
-        return f"EnergyMeter({self.total_pj:.0f} pJ)"

@@ -2,10 +2,11 @@
 
 Every component of the machine (hierarchy, NoC, DRAM, engines, offload,
 streams) *emits* typed events on the :class:`EventBus` owned by the
-machine; observability tools -- the tracer (:mod:`repro.sim.trace`),
-access profiles (:class:`repro.sim.stats.AccessProfile`), live energy
-metering (:class:`repro.sim.energy.EnergyMeter`) -- *subscribe* instead
-of being hardwired into the hot paths.
+machine; observability tools -- the flight recorder
+(:class:`repro.sim.telemetry.flightrec.FlightRecorder`), access
+profiles (:class:`repro.sim.stats.AccessProfile`), telemetry
+(:mod:`repro.sim.telemetry`) -- *subscribe* instead of being hardwired
+into the hot paths.
 
 Emission is guard-checked, so a machine with **zero subscribers pays
 one attribute load and branch per emit point** and never allocates an

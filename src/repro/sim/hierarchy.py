@@ -21,8 +21,8 @@ accumulates latency; :meth:`Hierarchy.access` folds the walk into an
 :class:`~repro.sim.access.AccessResult`. All
 components emit typed events on the machine's
 :class:`~repro.sim.events.EventBus` (guard-checked: free with no
-subscribers), which is how tracing, access profiles, and live energy
-metering observe the pipeline without touching it.
+subscribers), which is how the flight recorder, access profiles, and
+telemetry observe the pipeline without touching it.
 
 The runtime interposes through ``hierarchy.hooks``
 (:class:`HierarchyHooks`):

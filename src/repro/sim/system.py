@@ -172,12 +172,6 @@ class Machine:
         self.stats.counters["core.instructions"] += instructions
         return instructions / self._core_cfg.ipc
 
-    def wake_all(self, condition, value=None, at_time=None):
-        return self.scheduler.wake_all(condition, value=value, at_time=at_time)
-
-    def wake_one(self, condition, value=None, at_time=None):
-        return self.scheduler.wake_one(condition, value=value, at_time=at_time)
-
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------

@@ -28,6 +28,18 @@ one in every worker when ``--flight-recorder`` is set, so a crash that
 happened in a subprocess hours into a sweep still leaves structured
 evidence behind. Either way, writing a postmortem logs one
 ``flightrec.postmortem`` record.
+
+It is also the debugging trace. :meth:`FlightRecorder.watch_range`
+narrows the ring to the events that touch watched address ranges (an
+``addr``, or a ``line`` times the line size), and
+:meth:`FlightRecorder.render` prints what the ring kept, one labelled
+line per event::
+
+    recorder = FlightRecorder(machine, capacity=1000)
+    recorder.watch_range(region.base, region.end, "deltas")
+    ... run ...
+    print(recorder.render(limit=50))
+    recorder.detach()
 """
 
 import dataclasses
@@ -92,8 +104,13 @@ def _write_postmortem(outdir, payload, events):
     return path
 
 
+#: Field values kept as they are; :meth:`FlightRecorder.render` prints
+#: only these (an access's ``result`` object is left out).
+_SCALARS = (type(None), bool, int, float, str)
+
+
 def _json_safe(value):
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if isinstance(value, _SCALARS):
         return value
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
@@ -112,7 +129,10 @@ class FlightRecorder:
         self.label = label
         self.capacity = int(capacity)
         self.ring = deque(maxlen=self.capacity)
+        #: Events that entered the ring; those beyond ``capacity`` have
+        #: overwritten older ones.
         self.events_seen = 0
+        self._ranges = []  # (lo, hi, label)
         self._types = tuple(event_vocabulary())
         self._attached = False
         self.attach()
@@ -135,7 +155,27 @@ class FlightRecorder:
             self._attached = False
         return self
 
+    def watch_range(self, lo, hi, label):
+        """Keep only events inside a watched ``[lo, hi)`` range."""
+        self._ranges.append((lo, hi, label))
+        return self
+
+    def _label_of(self, event):
+        """The watched range's label for ``event``, or None."""
+        addr = getattr(event, "addr", None)
+        if addr is None:
+            line = getattr(event, "line", None)
+            if line is None:
+                return None
+            addr = line * self.machine.config.line_size
+        for lo, hi, label in self._ranges:
+            if lo <= addr < hi:
+                return label
+        return None
+
     def _record(self, event):
+        if self._ranges and self._label_of(event) is None:
+            return
         self.events_seen += 1
         self.ring.append(event)
 
@@ -151,6 +191,33 @@ class FlightRecorder:
                 entry[field.name] = _json_safe(getattr(event, field.name))
             out.append(entry)
         return out
+
+    def render(self, limit=None):
+        """The ring as text, oldest first: one line per event (the
+        newest ``limit`` when given), then how many it overwrote."""
+        events = list(self.ring)
+        lines = []
+        if limit is not None and len(events) > limit:
+            lines.append(f"... ({len(events) - limit} older events in the ring)")
+            events = events[len(events) - limit :]
+        for event in events:
+            label = self._label_of(event)
+            name = type(event).__name__
+            parts = [name if label is None else f"{label}: {name}"]
+            for field in dataclasses.fields(event):
+                value = getattr(event, field.name)
+                if not isinstance(value, _SCALARS):
+                    continue
+                if field.name in ("addr", "line") and type(value) is int:
+                    value = hex(value)
+                parts.append(f"{field.name}={value}")
+            lines.append(" ".join(parts))
+        overwritten = self.events_seen - len(self.ring)
+        if overwritten:
+            lines.append(
+                f"... ({overwritten} events overwritten past capacity={self.capacity})"
+            )
+        return "\n".join(lines)
 
     def postmortem(self, reason=None, error=None):
         """The machine-readable crash report for this machine.

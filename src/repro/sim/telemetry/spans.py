@@ -97,7 +97,8 @@ class SpanTracker:
 
     ``max_spans`` bounds memory: once the total span count reaches the
     cap, new spans are counted in ``dropped`` instead of recorded
-    (mirroring the tracer's visible-truncation contract). ``on_close``
+    (a truncated record says so, as the flight recorder's ``render``
+    counts the events its ring overwrote). ``on_close``
     is an optional callback fired with each span as it closes, which is
     how the metrics layer derives latency histograms without a second
     pass.

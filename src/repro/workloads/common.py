@@ -121,30 +121,3 @@ def finish_run(machine, name, output=None, notes="", profile=None):
         energy_breakdown=machine.energy_model.breakdown_pj(machine.stats),
         access_profile=access_profile,
     )
-
-
-def energy_breakdown_table(study, components=None):
-    """Per-variant energy by component, as rows of percent-of-baseline.
-
-    Mirrors how the paper presents energy: stacked components
-    normalized to the baseline's total.
-    """
-    base_total = study.results[study.baseline].energy_pj
-    if components is None:
-        components = sorted(
-            {
-                key
-                for result in study.results.values()
-                for key in result.energy_breakdown
-            }
-        )
-    rows = []
-    for name, result in study.results.items():
-        if not result.functional:
-            continue
-        row = {"variant": name}
-        for component in components:
-            row[component] = 100.0 * result.energy_breakdown.get(component, 0.0) / base_total
-        row["total_pct"] = 100.0 * result.energy_pj / base_total
-        rows.append(row)
-    return rows

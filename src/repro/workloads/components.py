@@ -23,7 +23,7 @@ from repro.core.offload import Invoke, Location
 from repro.core.runtime import Leviathan
 from repro.sim.ops import AtomicRMW, Compute, Load, Store
 from repro.sim.system import Machine
-from repro.workloads.common import StudyResult, finish_run
+from repro.workloads.common import finish_run
 from repro.workloads.graphs import community_graph
 from repro.workloads.phi import phi_config
 
@@ -223,14 +223,3 @@ def run_leviathan(params=None, n_tiles=16, ideal=False):
         morph.unregister()
     checksum = data.verify()
     return finish_run(machine, "ideal" if ideal else "leviathan", output=checksum)
-
-
-def run_all(params=None, n_tiles=16):
-    study = StudyResult(
-        study="Connected components (PHI generality)",
-        baseline="baseline",
-        params=params or {},
-    )
-    study.add(run_baseline(params, n_tiles=n_tiles))
-    study.add(run_leviathan(params, n_tiles=n_tiles))
-    return study

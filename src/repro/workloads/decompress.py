@@ -29,7 +29,7 @@ from repro.core.runtime import Leviathan
 from repro.sim.config import SystemConfig
 from repro.sim.ops import Compute, Load
 from repro.sim.system import Machine
-from repro.workloads.common import RunResult, StudyResult, finish_run
+from repro.workloads.common import RunResult, finish_run
 from repro.workloads.distributions import zipfian_indices
 
 #: Fig. 16's workload: 16 K pixels, 32 K Zipfian accesses (one core;
@@ -271,16 +271,3 @@ def run_no_padding(params=None, n_tiles=16):
             notes=str(error),
         )
     raise AssertionError("unpadded 6B morph unexpectedly registered")
-
-
-def run_all(params=None, n_tiles=16, include_ideal=True):
-    study = StudyResult(
-        study="Decompression (Fig. 16)", baseline="baseline", params=params or {}
-    )
-    study.add(run_baseline(params, n_tiles=n_tiles))
-    study.add(run_offload(params, n_tiles=n_tiles))
-    study.add(run_no_padding(params, n_tiles=n_tiles))
-    study.add(run_leviathan(params, n_tiles=n_tiles))
-    if include_ideal:
-        study.add(run_leviathan(params, ideal=True, n_tiles=n_tiles))
-    return study

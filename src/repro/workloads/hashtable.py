@@ -30,7 +30,7 @@ from repro.sim.config import SystemConfig, CacheConfig
 from repro.sim.ops import Compute, Load
 from repro.sim.stats import AccessProfile
 from repro.sim.system import Machine
-from repro.workloads.common import StudyResult, finish_run
+from repro.workloads.common import finish_run
 
 #: Fig. 18's workload, scaled: threads each perform lookups against a
 #: table whose (padded) size is ~2/3 of the scaled LLC ("the buckets
@@ -333,33 +333,3 @@ def _verify(table, results):
     expected = sorted(table.expected_value(k) for k in keys)
     if sorted(results) != expected:
         raise AssertionError("hash-table lookups returned wrong values")
-
-
-def run_size_study(params=None, n_tiles=16, sizes=(24, 64, 128)):
-    """Fig. 18: one StudyResult per object size."""
-    studies = {}
-    for size in sizes:
-        p = dict(params or {})
-        p["object_size"] = size
-        study = StudyResult(
-            study=f"Hash table {size}B (Fig. 18)", baseline="baseline", params=p
-        )
-        study.add(run_baseline(p, n_tiles=n_tiles))
-        study.add(run_leviathan(p, n_tiles=n_tiles))
-        if size == 24:
-            study.add(run_no_padding(p, n_tiles=n_tiles))
-        if size == 128:
-            study.add(run_no_llc_mapping(p, n_tiles=n_tiles))
-        studies[size] = study
-    return studies
-
-
-def run_all(params=None, n_tiles=16):
-    """The headline (64 B) configuration with every variant."""
-    study = StudyResult(
-        study="Hash table (Fig. 18)", baseline="baseline", params=params or {}
-    )
-    study.add(run_baseline(params, n_tiles=n_tiles))
-    study.add(run_leviathan(params, n_tiles=n_tiles))
-    study.add(run_leviathan(params, n_tiles=n_tiles, ideal=True))
-    return study

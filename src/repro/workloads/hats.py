@@ -34,7 +34,7 @@ from repro.core.stream import Stream, STREAM_END
 from repro.sim.config import SystemConfig, CacheConfig
 from repro.sim.ops import Branch, Compute, Load, Store
 from repro.sim.system import Machine
-from repro.workloads.common import StudyResult, finish_run
+from repro.workloads.common import finish_run
 from repro.workloads.graphs import community_graph
 
 #: uk-2002 scaled to simulator speed; strong communities, shuffled ids.
@@ -465,19 +465,6 @@ def run_leviathan(params=None, ideal=False, n_tiles=16, config_overrides=None):
 
     _run_phases(machine, data, edge_factory, "hats-lev")
     return finish_run(machine, "ideal" if ideal else "leviathan", output=data.verify())
-
-
-def run_all(params=None, n_tiles=16, include_ideal=True):
-    study = StudyResult(
-        study="HATS (Figs. 20-21)", baseline="baseline", params=params or {}
-    )
-    study.add(run_baseline(params, n_tiles=n_tiles))
-    study.add(run_sw_bdfs(params, n_tiles=n_tiles))
-    study.add(run_tako(params, n_tiles=n_tiles))
-    study.add(run_leviathan(params, n_tiles=n_tiles))
-    if include_ideal:
-        study.add(run_leviathan(params, ideal=True, n_tiles=n_tiles))
-    return study
 
 
 def breakdown(study):

@@ -35,7 +35,7 @@ from repro.core.runtime import Leviathan
 from repro.sim.config import SystemConfig, CacheConfig
 from repro.sim.ops import AtomicRMW, Compute, Load, Store
 from repro.sim.system import Machine
-from repro.workloads.common import StudyResult, finish_run
+from repro.workloads.common import finish_run
 from repro.workloads.graphs import uniform_graph
 
 #: Default workload scale (the paper's 4M-vertex, 40M-edge graph,
@@ -345,17 +345,3 @@ def run_leviathan(params=None, ideal=False, n_tiles=16, invoke_buffer=4):
     _finalize_phi(machine, morph, data)
     checksum = data.verify()
     return finish_run(machine, "ideal" if ideal else "leviathan", output=checksum)
-
-
-# ----------------------------------------------------------------------
-# the full study
-# ----------------------------------------------------------------------
-def run_all(params=None, n_tiles=16, include_ideal=True):
-    study = StudyResult(study="PHI (Fig. 5)", baseline="baseline", params=params or {})
-    study.add(run_baseline(params, n_tiles=n_tiles))
-    study.add(run_tako(params, relaxed=False, n_tiles=n_tiles))
-    study.add(run_tako(params, relaxed=True, n_tiles=n_tiles))
-    study.add(run_leviathan(params, n_tiles=n_tiles))
-    if include_ideal:
-        study.add(run_leviathan(params, ideal=True, n_tiles=n_tiles))
-    return study

@@ -21,9 +21,13 @@ class TestCli:
         assert "32.8" in out
         assert "[PASS]" in out
 
-    def test_unknown_experiment(self):
-        with pytest.raises(KeyError):
+    def test_unknown_experiment(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             cli.main(["fig99"])
+        assert excinfo.value.code == 2  # argparse usage error, not a traceback
+        err = capsys.readouterr().err
+        assert "unknown experiment 'fig99'" in err
+        assert "fig18" in err
 
     @pytest.mark.parametrize("retries", ["0", "-1"])
     def test_bad_run_retries_is_a_usage_error(self, retries, capsys):
@@ -172,6 +176,28 @@ class TestFaultsCli:
             assert "Traceback" in saved["traceback"]
         finally:
             registry._runners.pop("crash-test", None)
+
+    def test_workload_key_error_is_a_crash(self, tmp_path, capsys):
+        import json
+
+        from repro.experiments import registry
+
+        def crashing():
+            return {}["missing"]
+
+        registry.register("crash-test-key", crashing, "raises KeyError")
+        try:
+            outdir = tmp_path / "crash"
+            assert (
+                cli.main(["crash-test-key", "--telemetry-out", str(outdir)]) == 1
+            )
+            err = capsys.readouterr().err
+            assert "ERROR: crash-test-key raised KeyError" in err
+            assert "CRASHED: crash-test-key" in err
+            saved = json.loads((outdir / "crash-test-key" / "error.json").read_text())
+            assert saved["error"] == "KeyError"
+        finally:
+            registry._runners.pop("crash-test-key", None)
 
     def test_crash_does_not_leak_sessions(self, capsys):
         from repro.experiments import registry

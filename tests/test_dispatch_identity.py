@@ -6,7 +6,8 @@ attaches one) or a telemetry session -- each access also builds a full
 :class:`AccessResult` and emits it; with no subscriber (a plain HATS
 run, or a hash-table run with the profile stubbed out) only the
 latency is returned. A fault plan subscribes only to invoke-lifecycle
-events, so it does not change which variant runs. These are
+events, so it does not change which variant runs; a flight recorder
+subscribes to every event type. These are
 *performance* variants, not semantic ones: a run must produce
 bit-identical timing, energy, statistics (phase-qualified counters
 included), and functional output no matter which variant it took, and
@@ -19,6 +20,7 @@ import repro.workloads.hashtable as hashtable
 import repro.workloads.hats as hats
 from repro.sim.faults import FaultSession
 from repro.sim.stats import AccessProfile
+from repro.sim.telemetry.flightrec import FlightRecorderSession
 from repro.sim.telemetry.session import TelemetrySession
 
 #: fig18 scaled to unit-test size (a run is a few thousand steps).
@@ -113,6 +115,14 @@ class TestAttachedDetachedIdentity:
             telemetered = _run(runner)
         assert session.attached  # the run really was observed
         assert fingerprint(telemetered) == fingerprint(attached)
+
+    def test_flight_recorder_attached_matches(self, runner):
+        attached = _run(runner)
+        with FlightRecorderSession(capacity=64) as session:
+            recorded = _run(runner)
+        [recorder] = session.attached
+        assert recorder.events_seen > 64  # the run really was observed
+        assert fingerprint(recorded) == fingerprint(attached)
 
 
 class TestPhasedRunIdentity:

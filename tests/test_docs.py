@@ -1,9 +1,11 @@
-"""Documentation hygiene: links resolve, README indexes every docs page.
+"""Documentation hygiene: links resolve, README indexes every docs page,
+and every dotted ``repro.…`` name the docs cite still exists.
 
 CI runs this as the docs job; it keeps the markdown link graph honest
 as files move.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -18,6 +20,32 @@ _DOC_FILES = sorted(
     [REPO / "README.md", *(REPO / "docs").glob("*.md")],
     key=lambda p: str(p),
 )
+
+
+#: Dotted Python names such as ``repro.sim.events.EventBus``.
+_DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+
+_NAMING_DOCS = sorted(
+    [REPO / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    + list((REPO / "docs").glob("*.md")),
+    key=lambda p: str(p),
+)
+
+
+def _resolves(dotted):
+    """True if ``dotted`` is a module, or a module's attribute chain."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
 
 
 def _links(path):
@@ -55,3 +83,10 @@ def test_readme_links_every_docs_page():
 def test_docs_exist():
     for name in ("experiments.md", "architecture.md"):
         assert (REPO / "docs" / name).exists()
+
+
+@pytest.mark.parametrize("doc", _NAMING_DOCS, ids=lambda p: p.name)
+def test_dotted_names_resolve(doc):
+    names = set(_DOTTED.findall(doc.read_text()))
+    unresolved = sorted(name for name in names if not _resolves(name))
+    assert not unresolved, f"{doc.relative_to(REPO)} names missing code: {unresolved}"

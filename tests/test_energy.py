@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.energy import EnergyMeter, EnergyModel, EnergyParams
+from repro.sim.energy import EnergyModel, EnergyParams
 from repro.sim.stats import Stats
 
 
@@ -69,48 +69,3 @@ class TestMachineEnergy:
         machine.spawn(prog(), tile=0)
         machine.run()
         assert machine.energy_pj() > before
-
-
-class TestEnergyMeter:
-    def _run(self, machine):
-        from repro.sim.ops import Load, Store
-
-        def prog():
-            for i in range(20):
-                yield Load(0x10000 + i * 64, 8)
-            for i in range(10):
-                yield Store(0x10000 + i * 64, 8)
-
-        machine.spawn(prog(), tile=0)
-        machine.run()
-
-    def test_live_terms_match_counter_model(self, machine):
-        """The meter's per-event accumulation must equal the post-hoc
-        counter model for every memory-side term."""
-        meter = EnergyMeter(machine)
-        self._run(machine)
-        p = meter.params
-        stats = machine.stats
-        expected = {
-            "l1": stats["l1.accesses"] * p.l1_access,
-            "l2": stats["l2.accesses"] * p.l2_access,
-            "llc": stats["llc.accesses"] * p.llc_access,
-            "mc_cache": stats["mc_cache.accesses"] * p.mc_cache_access,
-            "dram": stats["dram.accesses"] * p.dram_access,
-            "noc": stats["noc.flit_hops"] * p.noc_flit_hop,
-        }
-        for term, pj in expected.items():
-            if pj:
-                assert meter.terms[term] == pytest.approx(pj), term
-        assert meter.total_pj == pytest.approx(sum(meter.terms.values()))
-
-    def test_reset_and_detach(self, machine):
-        meter = EnergyMeter(machine)
-        self._run(machine)
-        assert meter.total_pj > 0
-        meter.reset()
-        assert meter.total_pj == 0 and meter.terms == {}
-        meter.detach()
-        machine.hierarchy.access(0, 0x90000, 8, is_write=False)
-        assert meter.total_pj == 0
-        assert not machine.events.active

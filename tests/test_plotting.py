@@ -1,6 +1,6 @@
 """Unit tests for the ASCII figure rendering."""
 
-from repro.experiments.plotting import bar_chart, line_plot, speedup_chart
+from repro.experiments.plotting import bar_chart, speedup_chart
 from repro.experiments.runner import Experiment
 
 
@@ -25,20 +25,6 @@ class TestBarChart:
 
     def test_empty(self):
         assert bar_chart([]) == "(empty chart)"
-
-
-class TestLinePlot:
-    def test_renders_points(self):
-        plot = line_plot([(1, 1.0), (2, 1.5), (4, 1.2)], x_label="size", y_label="speedup")
-        assert plot.count("*") == 3
-        assert "size" in plot
-
-    def test_needs_two_points(self):
-        assert "two points" in line_plot([(1, 1.0)])
-
-    def test_flat_series(self):
-        plot = line_plot([(1, 2.0), (2, 2.0), (3, 2.0)])
-        assert plot.count("*") == 3
 
 
 class TestSpeedupChart:

@@ -102,7 +102,7 @@ class TestBlocking:
 
         def signaller():
             yield Sleep(50)
-            machine.wake_all(cond, value="go")
+            machine.scheduler.wake_all(cond, value="go")
 
         machine.spawn(waiter(), tile=0)
         machine.spawn(waiter(), tile=1)
@@ -120,9 +120,9 @@ class TestBlocking:
 
         def signaller():
             yield Sleep(10)
-            machine.wake_one(cond)
+            machine.scheduler.wake_one(cond)
             yield Sleep(10)
-            machine.wake_one(cond)
+            machine.scheduler.wake_one(cond)
 
         machine.spawn(waiter("a"), tile=0)
         machine.spawn(waiter("b"), tile=1)
@@ -140,7 +140,7 @@ class TestBlocking:
 
         def signaller():
             yield Sleep(77)
-            machine.wake_all(cond)
+            machine.scheduler.wake_all(cond)
 
         machine.spawn(waiter(), tile=0)
         machine.spawn(signaller(), tile=1)

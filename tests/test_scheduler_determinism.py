@@ -132,7 +132,7 @@ class TestSpawnOrderTieBreak:
 
         def waker():
             yield Sleep(10)
-            machine.wake_all(cond, value="go")
+            machine.scheduler.wake_all(cond, value="go")
 
         for c in range(4):
             machine.spawn(waiter(f"w{c}"), tile=0, name=f"w{c}")

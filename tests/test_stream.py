@@ -169,3 +169,25 @@ class TestLargeEntries:
             assert addr // 64 == (addr + 23) // 64
         stream.start()
         assert drain(machine, stream) == list(range(16))
+
+
+class TestStreamFutureApi:
+    def test_next_wait_equivalent_to_consume(self, machine, runtime):
+        from repro.core.stream import STREAM_END
+        from tests.test_stream import RangeStream
+
+        stream = RangeStream(runtime, count=10)
+        stream.start()
+        got = []
+
+        def consumer():
+            while True:
+                future = stream.next()
+                value = yield from future.wait()
+                if value is STREAM_END:
+                    return
+                got.append(value)
+
+        machine.spawn(consumer(), tile=0)
+        machine.run()
+        assert got == list(range(10))

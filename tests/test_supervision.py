@@ -28,7 +28,7 @@ from repro.experiments.pool import (
     compute_result_checksum,
     spec_hash,
 )
-from repro.experiments.retry import RetryPolicy, classify_exception, is_transient
+from repro.experiments.retry import RetryPolicy
 
 _SLOW = "tests.obs_helpers:slow_point"
 _FLAKY = "tests.obs_helpers:flaky_point"
@@ -56,26 +56,6 @@ def _supervised_pool(cache_dir, **kwargs):
     kwargs.setdefault("retry", _FAST_RETRY)
     kwargs.setdefault("progress", False)
     return ExperimentPool(cache_dir=str(cache_dir), **kwargs)
-
-
-class TestFailureTaxonomy:
-    def test_transient_kinds(self):
-        for kind in (
-            retry_taxonomy.WORKER_DIED,
-            retry_taxonomy.TIMEOUT,
-            retry_taxonomy.HUNG,
-            retry_taxonomy.DISPATCH_ERROR,
-        ):
-            assert is_transient(kind)
-        assert not is_transient("permanent")
-
-    def test_classify_exception(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        assert classify_exception(BrokenProcessPool()) == retry_taxonomy.WORKER_DIED
-        assert classify_exception(TimeoutError()) == retry_taxonomy.TIMEOUT
-        assert classify_exception(OSError()) == retry_taxonomy.DISPATCH_ERROR
-        assert classify_exception(ValueError("workload bug")) == "permanent"
 
 
 class TestRetryOnWorkerDeath:

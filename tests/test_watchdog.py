@@ -124,7 +124,7 @@ class TestNeverSignaledCondition:
             for i in range(300):
                 yield Compute(1)
                 items.append(i)
-                machine.wake_all(data)
+                machine.scheduler.wake_all(data)
 
         def consumer():
             taken = 0

@@ -11,11 +11,23 @@ functional divergence.
 import pytest
 
 from repro.workloads import decompress, hashtable, hats, phi
+from repro.workloads.common import StudyResult
 
 PHI_SMALL = dict(n_vertices=512, n_edges=3072, n_threads=8, seed=7)
 DC_SMALL = dict(n_pixels=2048, n_accesses=4096, n_threads=1)
 HT_SMALL = dict(n_buckets=16, nodes_per_bucket=8, n_threads=8, lookups_per_thread=16)
 HATS_SMALL = dict(n_vertices=512, n_edges=4096, n_communities=8, seed=31)
+
+
+@pytest.fixture(scope="module")
+def phi_study():
+    """Fig. 5's non-ideal variants at small scale, from the variant runners."""
+    study = StudyResult(study="PHI (Fig. 5)", baseline="baseline", params=PHI_SMALL)
+    study.add(phi.run_baseline(PHI_SMALL))
+    study.add(phi.run_tako(PHI_SMALL, relaxed=False))
+    study.add(phi.run_tako(PHI_SMALL, relaxed=True))
+    study.add(phi.run_leviathan(PHI_SMALL))
+    return study
 
 
 class TestPhiFunctional:
@@ -35,9 +47,9 @@ class TestPhiFunctional:
     def test_ideal_correct(self):
         assert phi.run_leviathan(PHI_SMALL, ideal=True).functional
 
-    def test_all_variants_same_checksum(self):
-        study = phi.run_all(PHI_SMALL, include_ideal=False)
-        outputs = {round(r.output, 9) for r in study.results.values()}
+    def test_all_variants_same_checksum(self, phi_study):
+        outputs = {round(r.output, 9) for r in phi_study.results.values()}
+        assert len(phi_study.results) == 4
         assert len(outputs) == 1
 
     def test_leviathan_uses_no_fences(self):
@@ -164,15 +176,13 @@ class TestHatsFunctional:
 
 
 class TestStudyResults:
-    def test_phi_study_report(self):
-        study = phi.run_all(PHI_SMALL, include_ideal=False)
-        report = study.report()
+    def test_phi_study_report(self, phi_study):
+        report = phi_study.report()
         assert "baseline" in report and "leviathan" in report
-        assert study.speedups()["baseline"] == 1.0
+        assert phi_study.speedups()["baseline"] == 1.0
 
-    def test_energy_savings_sign_convention(self):
-        study = phi.run_all(PHI_SMALL, include_ideal=False)
-        savings = study.energy_savings()
+    def test_energy_savings_sign_convention(self, phi_study):
+        savings = phi_study.energy_savings()
         assert savings["baseline"] == 0.0
 
 
@@ -181,24 +191,14 @@ class TestEnergyBreakdown:
         result = phi.run_baseline(PHI_SMALL)
         assert abs(sum(result.energy_breakdown.values()) - result.energy_pj) < 1e-6
 
-    def test_breakdown_table_normalized(self):
-        from repro.workloads.common import energy_breakdown_table
-
-        study = phi.run_all(PHI_SMALL, include_ideal=False)
-        rows = energy_breakdown_table(study)
-        by_variant = {r["variant"]: r for r in rows}
-        assert by_variant["baseline"]["total_pct"] == 100.0
+    def test_leviathan_has_engine_energy(self, phi_study):
         # Leviathan has engine energy the baseline lacks.
-        assert by_variant["leviathan"].get("engine.instructions", 0) > 0
-        assert by_variant["baseline"].get("engine.instructions", 0) == 0
+        assert phi_study["leviathan"].energy_breakdown.get("engine.instructions", 0) > 0
+        assert phi_study["baseline"].energy_breakdown.get("engine.instructions", 0) == 0
 
-    def test_leviathan_eliminates_fence_component(self):
-        from repro.workloads.common import energy_breakdown_table
-
-        study = phi.run_all(PHI_SMALL, include_ideal=False)
-        rows = {r["variant"]: r for r in energy_breakdown_table(study)}
-        assert rows["baseline"].get("core.fences", 0) > 0
-        assert rows["leviathan"].get("core.fences", 0) == 0
+    def test_leviathan_eliminates_fence_component(self, phi_study):
+        assert phi_study["baseline"].energy_breakdown.get("core.fences", 0) > 0
+        assert phi_study["leviathan"].energy_breakdown.get("core.fences", 0) == 0
 
 
 class TestComponentsFunctional:
