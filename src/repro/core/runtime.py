@@ -30,6 +30,8 @@ class LeviathanHooks(HierarchyHooks):
         # its methods here saves a forwarding call on every LLC access.
         self.bank_shift = runtime.mapping.bank_shift
         self.translate = runtime.mapping.translate
+        # The runtime's own list, kept by register/unregister_morph.
+        self.morphs = runtime._morphs
 
     def on_miss(self, level, tile, line):
         morph = self.runtime.find_morph(line, level)
@@ -44,7 +46,7 @@ class LeviathanHooks(HierarchyHooks):
         return morph.handle_evict(tile, line, dirty)
 
     def morph_level(self, line):
-        for base_line, bound_line, morph_level, _ in self.runtime._morphs:
+        for base_line, bound_line, morph_level, _ in self.morphs:
             if base_line <= line < bound_line:
                 return morph_level
         return None

@@ -4,7 +4,8 @@ Micro benchmarks put one simulator subsystem in a tight loop (the
 scheduler step loop, the private/shared cache access paths, a NoC hop,
 an invoke round-trip, stream push/pop, morph construct/destruct); macro
 benchmarks run a paper case study end to end (the Fig. 18 hash table,
-the Fig. 20 HATS traversal) exactly as the experiment harness would, so
+the Fig. 20 HATS traversal, the KV server with its request-latency
+probe) exactly as the experiment harness would, so
 profiler output maps one-to-one onto real evaluation cost.
 
 Every benchmark is deterministic: the same work-unit count every trial
@@ -262,6 +263,11 @@ FIG18_TILES = 16
 HATS_PARAMS = {"n_vertices": 1024, "n_edges": 8192}
 HATS_TILES = 16
 
+#: The KV server at its default params: the one macro with a span
+#: consumer (its request-latency probe) attached.
+SERVE_KV_PARAMS = {}
+SERVE_KV_TILES = 16
+
 
 def macro_units(result):
     """Simulated instructions executed: the macro 'steps' normalizer."""
@@ -365,6 +371,18 @@ for _bench in [
         ),
         unit="instructions",
         description="Fig. 20 HATS decoupled traversal (quarter-size graph)",
+    ),
+    Benchmark(
+        "serve.kv_leviathan",
+        "macro",
+        lambda: _make_macro(
+            "repro.workloads.serving.kvserve:run_leviathan",
+            SERVE_KV_PARAMS,
+            SERVE_KV_TILES,
+        ),
+        unit="instructions",
+        description="KV server GET/PUT offload and streamed scans, "
+        "with the request-latency probe attached",
     ),
 ]:
     register(_bench)

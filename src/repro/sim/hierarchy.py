@@ -83,6 +83,11 @@ class ConstructResult:
 class HierarchyHooks:
     """Default (baseline multicore) hook implementations."""
 
+    #: The registered morph records, for hooks that keep them: while
+    #: this is an empty sequence the engine path does not ask
+    #: :meth:`morph_level`. None (the default) means always ask.
+    morphs = None
+
     def bank_shift(self, line):
         """Low line-index bits ignored by the LLC bank-index function."""
         return 0
@@ -309,7 +314,9 @@ class PrivateCachePath:
         counters = self.stats.counters
         tile, line, is_write = req.tile, req.line, req.is_write
 
-        if self.fill.hooks.morph_level(line) == "llc":
+        hooks = self.fill.hooks
+        morphs = hooks.morphs
+        if (morphs is None or morphs) and hooks.morph_level(line) == "llc":
             # Near-data actions operate on LLC-resident phantom objects
             # *in the LLC bank* (PHI's RMW tasks update the cached
             # deltas directly, Sec. IV-B); bypassing the engine L1d

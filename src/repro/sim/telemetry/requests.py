@@ -10,15 +10,19 @@ Two pieces:
 
 - :func:`declare_request_classes` tags a machine with a map from span
   key (invoke action name, or stream base name) to request-class
-  label. :meth:`Telemetry._span_closed
-  <repro.sim.telemetry.session.Telemetry>` consults it and observes
-  ``request.latency.<class>`` histograms alongside the generic ones.
+  label. :class:`~repro.sim.telemetry.session.RequestSpans` consults
+  it as each span closes and observes ``request.latency.<class>``
+  histograms.
 - :class:`RequestLatencyProbe` is the workload-side helper: it
-  declares the classes *and* attaches its own :class:`Telemetry`
-  instance, so percentiles are available even when no
-  ``--telemetry-out`` session is installed. Like all telemetry it is a
-  pure observer -- simulated results are bit-identical with and
-  without it -- but serving workloads attach it unconditionally so
+  declares the classes *and* subscribes its own
+  :class:`~repro.sim.telemetry.session.RequestSpans` -- the spans,
+  per-invoke memory split, request histograms and attribution that
+  :class:`~repro.sim.telemetry.session.Telemetry` also uses, without
+  Telemetry's fabric metrics -- so percentiles are available even
+  when no ``--telemetry-out`` session is installed. It wants no cache,
+  NoC or DRAM event, so those emit sites stay off. Like all telemetry
+  it is a pure observer -- simulated results are bit-identical with
+  and without it -- but serving workloads attach it unconditionally so
   correlation-ID draws (which only happen while some subscriber wants
   a lifecycle event, ``Machine.emit_lifecycle``) are identical across
   configurations.
@@ -32,7 +36,8 @@ Usage::
 """
 
 from repro.sim.telemetry.critpath import COMPONENTS
-from repro.sim.telemetry.session import Telemetry
+from repro.sim.telemetry.metrics import MetricsRegistry
+from repro.sim.telemetry.session import RequestSpans
 
 #: Snapshot fields copied into flat per-class stats, in report order.
 PERCENTILE_FIELDS = ("count", "p50", "p95", "p99", "mean", "max")
@@ -58,29 +63,44 @@ def declare_request_classes(machine, classes):
 class RequestLatencyProbe:
     """Attach per-request-class latency histograms to one machine.
 
-    Wraps a dedicated :class:`Telemetry` instance (probe-labelled so a
-    saved artifact directory is distinguishable) and declares the
-    request classes on the machine. After ``machine.run()``, call
-    :meth:`finalize` once, then read :meth:`percentiles` or merge
-    :meth:`stat_fields` into a ``RunResult``'s stats.
+    Declares the request classes on the machine and subscribes a
+    :class:`~repro.sim.telemetry.session.RequestSpans` to the events
+    :meth:`~repro.sim.telemetry.session.RequestSpans.feeds` names. After
+    ``machine.run()``, call :meth:`finalize` once, then read
+    :meth:`percentiles` or merge :meth:`stat_fields` into a
+    ``RunResult``'s stats.
     """
 
     def __init__(self, machine, classes, max_spans=200_000):
         self.machine = machine
         self.classes = dict(classes)
         declare_request_classes(machine, self.classes)
-        self.telemetry = Telemetry(
-            machine, label="request-probe", max_spans=max_spans
-        )
+        #: Holds only the ``request.latency.<class>`` histograms.
+        self.metrics = MetricsRegistry()
+        self._requests = RequestSpans(machine, self.metrics, max_spans)
+        self.spans = self._requests.spans
+        self._feeds = self._requests.feeds()
+        self._finalized = False
+        for event_type in self._feeds:
+            machine.events.subscribe(event_type, self._on_event)
+        self._attached = True
+
+    def _on_event(self, ev):
+        self._feeds[type(ev)](ev)
 
     def finalize(self):
-        """Close out unfinished spans (call once, after the run)."""
-        self.telemetry.finalize()
+        """Close out unfinished spans (idempotent; call after the run)."""
+        if not self._finalized:
+            self._finalized = True
+            self.spans.finalize(self.machine.scheduler.now)
         return self
 
     def detach(self):
         """Stop observing the bus (recorded data stays readable)."""
-        self.telemetry.detach()
+        if self._attached:
+            for event_type in self._feeds:
+                self.machine.events.unsubscribe(event_type, self._on_event)
+            self._attached = False
         return self
 
     def percentiles(self):
@@ -93,12 +113,12 @@ class RequestLatencyProbe:
         """
         out = {}
         for cls in sorted(set(self.classes.values())):
-            out[cls] = self.telemetry.metrics.value(f"request.latency.{cls}")
+            out[cls] = self.metrics.value(f"request.latency.{cls}")
         return out
 
     def attribution(self):
         """The probe's latency-attribution rollup (finalize first)."""
-        return self.telemetry.attribution
+        return self._requests.attribution
 
     def stat_fields(self):
         """Flat JSON-safe floats for ``RunResult.stats``.
@@ -117,7 +137,7 @@ class RequestLatencyProbe:
             for field in PERCENTILE_FIELDS:
                 value = 0.0 if snap is None else float(snap[field])
                 fields[f"request.{cls}.{field}"] = value
-        attribution = self.telemetry.attribution.snapshot()
+        attribution = self._requests.attribution.snapshot()
         for cls in sorted(set(self.classes.values())):
             entry = attribution.get(cls)
             base = f"attribution.{cls}"

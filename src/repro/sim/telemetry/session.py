@@ -2,12 +2,15 @@
 
 :class:`Telemetry` subscribes one machine's event bus to a
 :class:`~repro.sim.telemetry.metrics.MetricsRegistry` and a
-:class:`~repro.sim.telemetry.spans.SpanTracker`, and knows how to write
-the three artifacts a run produces:
+:class:`RequestSpans` (spans, their memory split, request-class
+histograms and latency attribution, the part it shares with
+:class:`~repro.sim.telemetry.requests.RequestLatencyProbe`), and knows
+how to write the artifacts a run produces:
 
 - ``trace.json``  -- the Perfetto/Chrome trace (spans + counter tracks);
 - ``metrics.json`` -- the JSON metrics snapshot;
-- ``metrics.prom`` -- the Prometheus-style text dump.
+- ``metrics.prom`` -- the Prometheus-style text dump;
+- ``attribution.json`` -- the per-class latency-attribution report.
 
 :class:`TelemetrySession` scales that to whole experiment runs: while
 *installed*, every :class:`~repro.sim.system.Machine` constructed
@@ -58,6 +61,120 @@ from repro.sim.telemetry.perfetto import chrome_trace, write_chrome_trace
 from repro.sim.telemetry.spans import SpanTracker
 
 
+class RequestSpans:
+    """Request spans and what each closed one feeds.
+
+    The work every request-latency consumer needs, and nothing more:
+    causal spans (:class:`SpanTracker`), each invoke's memory cycles
+    split into cache/NoC/DRAM (:class:`AccessCostModel`), the
+    ``request.latency.<class>`` histograms in ``metrics``, and the
+    :class:`AttributionRollup`. :class:`Telemetry` and
+    :class:`~repro.sim.telemetry.requests.RequestLatencyProbe` each own
+    one and subscribe the bus themselves; :meth:`feeds` names the events
+    this needs. ``on_close`` is called with each closed span after the
+    shared work.
+    """
+
+    def __init__(self, machine, metrics, max_spans, on_close=None):
+        self.machine = machine
+        self.metrics = metrics
+        self.spans = SpanTracker(max_spans=max_spans, on_close=self._span_closed)
+        self.attribution = AttributionRollup()
+        self.on_close = on_close
+        #: cid -> accumulated [cache, noc, dram] memory cycles, stashed
+        #: onto the invoke span's args at close time.
+        self._mem = {}
+        self._cost_model = None
+
+    def feeds(self):
+        """Event type -> the callable that feeds it in.
+
+        The nine lifecycle events, ``MemoryAccess`` for the memory
+        split, and the two resilience events that annotate spans. No
+        cache, NoC or DRAM event: a consumer of this alone leaves those
+        emit sites off.
+        """
+        spans = self.spans
+        return {
+            InvokeDispatched: spans.invoke_dispatched,
+            InvokeStalled: spans.invoke_stalled,
+            EngineTask: spans.engine_task,
+            EngineTaskStart: spans.engine_start,
+            EngineTaskDone: spans.engine_done,
+            FutureFilled: spans.future_filled,
+            StreamPush: spans.stream_push,
+            StreamPop: spans.stream_pop,
+            StreamBlocked: spans.stream_blocked,
+            MemoryAccess: self.memory_access,
+            InvokeRetried: spans.invoke_retried,
+            DegradedToFallback: spans.degraded,
+        }
+
+    def memory_access(self, ev):
+        """Add one access's memory split to the invoke that issued it.
+
+        Engine task contexts carry their invoke's cid, and the
+        scheduler's current context is exactly who issued this access.
+        The split accumulates per cid and lands on the span at close.
+        """
+        current = self.machine.scheduler.current
+        cid = getattr(current, "cid", None) if current is not None else None
+        if cid is None or not self.spans.is_open(cid):
+            return
+        if self._cost_model is None:
+            self._cost_model = AccessCostModel(self.machine)
+        cache, noc, dram = self._cost_model.decompose(ev.result)
+        acc = self._mem.get(cid)
+        if acc is None:
+            self._mem[cid] = [cache, noc, dram]
+        else:
+            acc[0] += cache
+            acc[1] += noc
+            acc[2] += dram
+
+    def _span_closed(self, span):
+        if span.cat == "invoke":
+            mem = self._mem.pop(span.cid, None)
+            if mem is not None:
+                span.args["mem_cycles"] = {
+                    "cache": mem[0],
+                    "noc": mem[1],
+                    "dram": mem[2],
+                }
+            self._observe_request(span.name.partition(":")[2], span.duration)
+        elif span.cat == "stream":
+            self._observe_request(span.name.split("[", 1)[0], span.duration)
+        if span.cat in ("invoke", "stream"):
+            # Stamp the resolved class onto the span so offline
+            # attribution (explain over trace.json) lands every span in
+            # the same bucket the live rollup used.
+            span.args["request_class"] = span_class(
+                span, self.machine.request_classes
+            )
+            self.attribution.observe_span(span)
+        if self.on_close is not None:
+            self.on_close(span)
+
+    def _observe_request(self, key, duration):
+        """Bucket a closed span into its request-class latency histogram.
+
+        Serving workloads declare ``machine.request_classes`` -- a map
+        from invoke action name / stream base name to request class (see
+        :mod:`repro.sim.telemetry.requests`). Machines that never
+        declare one (every non-serving workload) skip this entirely.
+        """
+        classes = self.machine.request_classes
+        if not classes:
+            return
+        cls = classes.get(key)
+        if cls is None:
+            return
+        self.metrics.histogram(
+            f"request.latency.{cls}",
+            help="request issue to completion per request class, cycles",
+        ).observe(duration)
+
+
 class Telemetry:
     """Metrics + spans for one machine, fed by its event bus."""
 
@@ -65,13 +182,12 @@ class Telemetry:
         self.machine = machine
         self.label = label
         self.metrics = MetricsRegistry(default_window=window)
-        self.spans = SpanTracker(max_spans=max_spans, on_close=self._span_closed)
+        self._requests = RequestSpans(
+            machine, self.metrics, max_spans, on_close=self._span_closed
+        )
+        self.spans = self._requests.spans
         #: Per-request latency attribution (see critpath.COMPONENTS).
-        self.attribution = AttributionRollup()
-        #: cid -> accumulated [cache, noc, dram] memory cycles, stashed
-        #: onto the invoke span's args at close time.
-        self._mem = {}
-        self._cost_model = None
+        self.attribution = self._requests.attribution
         self._finalized = False
         self._attached = False
         self._handlers = (
@@ -166,14 +282,8 @@ class Telemetry:
         self.spans.future_filled(ev)
 
     def _span_closed(self, span):
+        """Telemetry's own per-span histograms (after the shared close)."""
         if span.cat == "invoke":
-            mem = self._mem.pop(span.cid, None)
-            if mem is not None:
-                span.args["mem_cycles"] = {
-                    "cache": mem[0],
-                    "noc": mem[1],
-                    "dram": mem[2],
-                }
             self.metrics.histogram(
                 "invoke.latency",
                 help="invoke issue to completion (incl. future fill), cycles",
@@ -189,46 +299,16 @@ class Telemetry:
                     self.metrics.histogram(metric).observe(cycles)
             if span.args.get("nacks"):
                 self.metrics.counter("invoke.nacked_spans").inc()
-            self._observe_request(span.name.partition(":")[2], span.duration)
         elif span.cat == "stream":
-            stream = span.name.split("[", 1)[0]
             self.metrics.histogram(
                 "stream.entry_latency",
-                labels={"stream": stream},
+                labels={"stream": span.name.split("[", 1)[0]},
                 help="push to pop, cycles",
             ).observe(span.duration)
-            self._observe_request(stream, span.duration)
         elif span.cat == "stream-wait":
             self.metrics.histogram(
                 "stream.block_cycles", labels={"side": span.args.get("side", "?")}
             ).observe(span.duration)
-        if span.cat in ("invoke", "stream"):
-            # Stamp the resolved class onto the span so offline
-            # attribution (explain over trace.json) lands every span in
-            # the same bucket the live rollup used.
-            span.args["request_class"] = span_class(
-                span, self.machine.request_classes
-            )
-            self.attribution.observe_span(span)
-
-    def _observe_request(self, key, duration):
-        """Bucket a closed span into its request-class latency histogram.
-
-        Serving workloads declare ``machine.request_classes`` -- a map
-        from invoke action name / stream base name to request class (see
-        :mod:`repro.sim.telemetry.requests`). Machines that never
-        declare one (every non-serving workload) skip this entirely.
-        """
-        classes = self.machine.request_classes
-        if not classes:
-            return
-        cls = classes.get(key)
-        if cls is None:
-            return
-        self.metrics.histogram(
-            f"request.latency.{cls}",
-            help="request issue to completion per request class, cycles",
-        ).observe(duration)
 
     # ------------------------------------------------------------------
     # handlers: resilience (fault injection, retries, degradation)
@@ -345,24 +425,7 @@ class Telemetry:
         self.metrics.histogram(
             "mem.request_latency", labels={"by": who}
         ).observe(ev.result.latency)
-        # Attribute the access to the invoke executing it: engine task
-        # contexts carry their invoke's cid, and the scheduler's current
-        # context is exactly who issued this access. The decomposition
-        # accumulates per cid and lands on the span at close time.
-        current = self.machine.scheduler.current
-        cid = getattr(current, "cid", None) if current is not None else None
-        if cid is None or not self.spans.is_open(cid):
-            return
-        if self._cost_model is None:
-            self._cost_model = AccessCostModel(self.machine)
-        cache, noc, dram = self._cost_model.decompose(ev.result)
-        acc = self._mem.get(cid)
-        if acc is None:
-            self._mem[cid] = [cache, noc, dram]
-        else:
-            acc[0] += cache
-            acc[1] += noc
-            acc[2] += dram
+        self._requests.memory_access(ev)
 
     # ------------------------------------------------------------------
     # teardown and artifacts

@@ -21,7 +21,12 @@ from repro.sim.ops import Compute, Load, Store
 from repro.sim.stats import AccessProfile
 from repro.sim.system import Machine
 from repro.sim.faults import FaultPlan
-from repro.sim.telemetry import FlightRecorder, Telemetry, TelemetrySession
+from repro.sim.telemetry import (
+    FlightRecorder,
+    RequestLatencyProbe,
+    Telemetry,
+    TelemetrySession,
+)
 from tests.conftest import run_program
 
 
@@ -247,6 +252,7 @@ class TestZeroSubscriberCost:
         assert not machine.emit_lifecycle
         for attach in (
             Telemetry,
+            lambda m: RequestLatencyProbe(m, {}),
             FlightRecorder,
             FaultPlan.parse("seed:1").attach,
         ):

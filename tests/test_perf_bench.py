@@ -133,6 +133,24 @@ class TestMacroBitIdentical:
         assert via_bench.stats == direct.stats
         assert via_bench.access_profile == direct.access_profile
 
+    def test_serve_macro_matches_direct_runner_call(self):
+        """The same identity for the macro with a request-latency probe:
+        its request and attribution fields included."""
+        from repro.perf.registry import SERVE_KV_PARAMS, SERVE_KV_TILES
+        from repro.workloads.serving import kvserve
+
+        timed = registry.get("serve.kv_leviathan").make()
+        timed()
+        via_bench = timed.result
+        direct = kvserve.run_leviathan(dict(SERVE_KV_PARAMS), n_tiles=SERVE_KV_TILES)
+
+        assert via_bench.cycles == direct.cycles
+        assert via_bench.energy_pj == direct.energy_pj
+        assert via_bench.output == direct.output
+        assert via_bench.stats == direct.stats
+        assert via_bench.access_profile == direct.access_profile
+        assert via_bench.stats["request.get.count"] > 0
+
 
 class TestHistory:
     def _result(self, name="t.one", median=1.0):
