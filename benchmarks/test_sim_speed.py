@@ -6,17 +6,12 @@ development machine so the guard only trips on real structural
 regressions (an accidentally-quadratic wait queue, per-access
 allocation on a zero-subscriber path), not on runner jitter.
 
-One parametrized test covers the three configurations that must all fit
-the same budget:
-
-- ``plain``: the simulator as the experiment harness runs it;
-- ``telemetry-detached``: every telemetry emit site is guarded by
-  ``bus.active``, so with no session installed the per-site cost is one
-  attribute load and a branch;
-- ``faults-detached``: every fault hook site is guarded by a
-  ``faults is None`` check (or an integer compare in the watchdog), so
-  a machine without a :class:`~repro.sim.faults.FaultSession` pays
-  nothing.
+One test times the simulator as the experiment harness runs it, after
+asserting that no :class:`~repro.sim.telemetry.session.TelemetrySession`
+or :class:`~repro.sim.faults.FaultSession` leaked into the process: the
+timed runs are then the detached configuration, where every telemetry
+emit site costs one flag load and a branch and every fault hook site a
+``faults is None`` check (or an integer compare in the watchdog).
 
 To re-record after an intentional change::
 
@@ -29,8 +24,6 @@ see docs/performance.md).
 
 import json
 from pathlib import Path
-
-import pytest
 
 BASELINE_PATH = Path(__file__).with_name("bench_baseline.json")
 
@@ -45,36 +38,18 @@ TRIALS = 3
 #: and the engine/offload path like the original smoke test did).
 SMOKE_BENCHMARKS = ("fig18.hashtable_baseline", "fig18.hashtable_leviathan")
 
-_MODE_HINTS = {
-    "plain": (
-        "If this slowdown is intentional, re-record with: "
-        "PYTHONPATH=src python benchmarks/test_sim_speed.py --record"
-    ),
-    "telemetry-detached": (
-        "Check that every telemetry emit site is guarded by events.active."
-    ),
-    "faults-detached": (
-        "Check that every fault hook site is guarded by 'faults is None'."
-    ),
-}
-
 
 def _load_budgets():
     return json.loads(BASELINE_PATH.read_text())["benchmarks"]
 
 
-def _assert_detached(mode):
-    """No observer session may leak into a detached-mode measurement."""
-    if mode == "telemetry-detached":
-        from repro.sim.telemetry.session import TelemetrySession
+def _assert_detached():
+    """No observer session may leak into the measurement."""
+    from repro.sim.faults import FaultSession
+    from repro.sim.telemetry.session import TelemetrySession
 
-        session = TelemetrySession.active()
-        assert session is None, "a TelemetrySession leaked into this test"
-    elif mode == "faults-detached":
-        from repro.sim.faults import FaultSession
-
-        session = FaultSession.active()
-        assert session is None, "a FaultSession leaked into this test"
+    assert TelemetrySession.active() is None, "a TelemetrySession leaked into this test"
+    assert FaultSession.active() is None, "a FaultSession leaked into this test"
 
 
 def _best_of(name, trials=TRIALS):
@@ -85,18 +60,19 @@ def _best_of(name, trials=TRIALS):
     return min(result.trials_s)
 
 
-@pytest.mark.parametrize("mode", sorted(_MODE_HINTS))
-def test_sim_speed(mode):
-    _assert_detached(mode)
+def test_sim_speed():
+    _assert_detached()
     budgets = _load_budgets()
     for name in SMOKE_BENCHMARKS:
         budget = budgets[name]["median_s"] * REGRESSION_FACTOR
         measured = _best_of(name)
         assert measured <= budget, (
-            f"simulator speed regression ({mode}): {name} took "
+            f"simulator speed regression: {name} took "
             f"{measured:.2f}s, budget {budget:.2f}s ({REGRESSION_FACTOR}x the "
-            f"recorded {budgets[name]['median_s']:.2f}s baseline). "
-            f"{_MODE_HINTS[mode]}"
+            f"recorded {budgets[name]['median_s']:.2f}s baseline). Check that "
+            "the emit sites and fault hooks stay guarded; if this slowdown is "
+            "intentional, re-record with: "
+            "PYTHONPATH=src python benchmarks/test_sim_speed.py --record"
         )
 
 

@@ -250,10 +250,9 @@ def main(argv=None):
     )
     bench_group.add_argument(
         "--out",
-        default=".",
         metavar="DIR",
         help="directory for the BENCH_<git-sha>.json history file "
-        "(default: current directory)",
+        "(default: current directory); for explain, where its reports go",
     )
     bench_group.add_argument(
         "--compare",
@@ -315,14 +314,11 @@ def main(argv=None):
         # Reports land beside the data: a run-dir target gets
         # explain.{json,md} inside it; --out (the bench history flag)
         # overrides, which is how CI collects them as artifacts.
-        out_override = args.out if args.out != "." else None
         try:
             if args.diff:
-                text, _ = explain_diff(
-                    args.diff[0], args.diff[1], out_dir=out_override
-                )
+                text, _ = explain_diff(args.diff[0], args.diff[1], out_dir=args.out)
             elif args.target:
-                out_dir = out_override or (
+                out_dir = args.out or (
                     args.target if os.path.isdir(args.target) else None
                 )
                 text, _ = explain(args.target, out_dir=out_dir)
@@ -520,7 +516,7 @@ def _run_bench(args):
     print(render_results(results))
 
     payload = bench_payload(results, args.trials, args.warmup)
-    path = write_history(payload, out_dir=args.out)
+    path = write_history(payload, out_dir=args.out or ".")
     print(f"wrote {path}")
 
     if args.profile:

@@ -192,8 +192,9 @@ def run_fig18(params=None, sizes=(24, 64, 128), pool=None):
         savings = study.energy_savings()
         by_size[size] = (speedups, savings, study)
         for name, result in study.results.items():
-            # Per-level attribution from the run's AccessProfile: where
-            # each variant's chain-walk loads were actually served.
+            # Per-level attribution from the hierarchy's outcome counts
+            # (RunResult.access_profile): where each variant's
+            # chain-walk loads were actually served.
             exp.add_row(
                 object_size=size,
                 variant=name,

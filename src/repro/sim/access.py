@@ -7,8 +7,10 @@ Every load/store entering the hierarchy becomes a
 the request through, accumulating latency and recording a per-level
 outcome at each step. :meth:`Hierarchy.access` folds the per-line
 requests into one :class:`AccessResult` -- the latency of the slowest
-line plus the concatenated outcome trail -- which is what operations,
-access profiles, and experiment reports consume.
+line plus the concatenated outcome trail -- which is what operations
+and subscribers consume. The hierarchy also tallies every trail into
+``Hierarchy.outcome_counts``, the per-level counts experiment reports
+read.
 
 Outcomes are ``(level, outcome)`` pairs. Levels: ``l1``, ``l2``,
 ``engine_l1``, ``llc``, ``dram``. Outcomes:

@@ -206,10 +206,6 @@ class LeviathanConfig:
     #: ``migration_period`` remote tasks executes locally instead to pull
     #: hot data up the hierarchy (Sec. VI-B1).
     migration_period: int = 32
-    #: Entries in the per-bank LLC translation buffer (Table IV).
-    translation_buffer_entries: int = 8
-    #: Objects buffered for pending data-triggered actions (Table IV).
-    data_triggered_buffer_objects: int = 16
     #: The paper's future-work extension (Sec. IX): engines at the
     #: memory controllers, so DYNAMIC tasks on uncached actors execute
     #: near memory instead of at an LLC bank far from the data.

@@ -3,8 +3,7 @@
 Every component of the machine (hierarchy, NoC, DRAM, engines, offload,
 streams) *emits* typed events on the :class:`EventBus` owned by the
 machine; observability tools -- the flight recorder
-(:class:`repro.sim.telemetry.flightrec.FlightRecorder`), access
-profiles (:class:`repro.sim.stats.AccessProfile`), telemetry
+(:class:`repro.sim.telemetry.flightrec.FlightRecorder`), telemetry
 (:mod:`repro.sim.telemetry`) -- *subscribe* instead of being hardwired
 into the hot paths.
 
@@ -22,9 +21,9 @@ builds, refreshed through :meth:`EventBus.on_change`:
 - the rare resilience sites (faults, watchdog, degradation) test the
   coarse ``bus.active``.
 
-So an :class:`~repro.sim.stats.AccessProfile` (``MemoryAccess`` only)
-builds no cache, NoC or lifecycle event. A built event is dispatched to
-the handlers registered for its exact type.
+So a subscriber to ``MemoryAccess`` alone builds no cache, NoC or
+lifecycle event. A built event is dispatched to the handlers
+registered for its exact type.
 
 Subscribers must not advance simulated time or mutate machine state:
 the bus is an observability plane, and simulations are bit-identical

@@ -3,7 +3,7 @@
 An access enters :meth:`Hierarchy.access` (or its latency-only twin
 :meth:`Hierarchy.access_latency`) and walks its cache lines, one at a
 time on a single pooled :class:`~repro.sim.access.MemoryRequest`,
-through three focused components, each owning one slice of the path:
+through four focused components, each owning one slice of the path:
 
 - :class:`PrivateCachePath`: per-tile L1s, L2s, the engines' small
   coherent L1ds, and the L2 strided prefetchers;
@@ -17,12 +17,15 @@ through three focused components, each owning one slice of the path:
   buffer and drained off the critical path), and prefetch flow control.
 
 Each component records a per-level outcome on the request and
-accumulates latency; :meth:`Hierarchy.access` folds the walk into an
+accumulates latency. The hierarchy tallies every completed walk's
+outcome trail into :attr:`Hierarchy.outcome_counts` (the per-level
+attribution a run's ``RunResult.access_profile`` reports), and
+:meth:`Hierarchy.access` also folds the walk into an
 :class:`~repro.sim.access.AccessResult`. All
 components emit typed events on the machine's
 :class:`~repro.sim.events.EventBus` (guard-checked: free with no
-subscribers), which is how the flight recorder, access profiles, and
-telemetry observe the pipeline without touching it.
+subscribers), which is how the flight recorder and telemetry observe
+the pipeline without touching it.
 
 The runtime interposes through ``hierarchy.hooks``
 (:class:`HierarchyHooks`):
@@ -753,6 +756,10 @@ class Hierarchy:
         #: recursion is safe because a nested access simply pops another
         #: entry (or allocates when the pool is dry).
         self._req_pool = []
+        #: ``(level, outcome)`` -> steps, over every access's trail
+        #: since the machine was built (prefetch walks excluded). A
+        #: plain dict: a Counter's ``__missing__`` is a Python call.
+        self.outcome_counts = {}
         #: True when a MemoryAccess subscriber exists: accesses must
         #: then build full AccessResult objects (the instrumented path).
         self._want_memory_access = False
@@ -765,8 +772,8 @@ class Hierarchy:
 
         Emit sites on the access path guard on these flags instead of
         ``bus.active`` so an event type nobody subscribed to is never
-        even constructed -- e.g. an AccessProfile (MemoryAccess-only)
-        subscriber does not cause a CacheAccess allocation per lookup.
+        even constructed -- e.g. a subscriber to ``MemoryAccess`` alone
+        does not cause a CacheAccess allocation per lookup.
         """
         wants = bus.wants
         private = self.private
@@ -852,7 +859,11 @@ class Hierarchy:
 
         One pooled request carries the walk. Its outcome trail escapes
         to the caller, so the request returns to the pool with a fresh
-        list instead of a copy.
+        list instead of a copy (emptying the old list would free its
+        buffer just the same, and costs more). The trail is added to
+        :attr:`outcome_counts` after the access's destructors drain, so
+        accesses count in the order their ``MemoryAccess`` events are
+        emitted (nested ones first).
         """
         private = self.private
         access_line = private.engine_access_line if engine else private.access_line
@@ -878,6 +889,12 @@ class Hierarchy:
         fill = self.fill_engine
         if fill._pending_destructors and fill._hook_depth == 0:
             fill.drain_destructors()
+        counts = self.outcome_counts
+        for step in outcomes:
+            try:
+                counts[step] += 1
+            except KeyError:
+                counts[step] = 1
         return latency, outcomes
 
     def access(self, tile, addr, size, is_write, engine=False, apply=None, near_memory=False):
@@ -912,7 +929,8 @@ class Hierarchy:
         Equivalent to ``self.access(...).latency`` (and is exactly that
         whenever a :class:`~repro.sim.events.MemoryAccess` subscriber
         needs the full result), but with no MemoryAccess subscriber it
-        never builds an :class:`~repro.sim.access.AccessResult`.
+        never builds an :class:`~repro.sim.access.AccessResult`. Both
+        add the walk's trail to :attr:`outcome_counts`.
         """
         if self._want_memory_access:
             return self.access(

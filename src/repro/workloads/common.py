@@ -29,9 +29,9 @@ class RunResult:
     notes: str = ""
     #: Per-component dynamic energy ({counter_name: picojoules}).
     energy_breakdown: dict = field(default_factory=dict)
-    #: Per-level access attribution ({(level, outcome): count}), filled
-    #: when the run was observed by a
-    #: :class:`~repro.sim.stats.AccessProfile` on the event bus.
+    #: Per-level access attribution ({(level, outcome): count}): every
+    #: step of every access's outcome trail, as the hierarchy tallied
+    #: it (``Hierarchy.outcome_counts``).
     access_profile: dict = field(default_factory=dict)
 
     def speedup_over(self, baseline):
@@ -50,7 +50,7 @@ class RunResult:
         return self.stats.get(name, 0)
 
     def accesses(self, level, outcome=None):
-        """Access-path steps recorded at ``level`` (see AccessProfile)."""
+        """Access-path steps recorded at ``level`` (optionally one outcome)."""
         return sum(
             count
             for (lvl, out), count in self.access_profile.items()
@@ -100,17 +100,12 @@ class StudyResult:
         return "\n".join(lines)
 
 
-def finish_run(machine, name, output=None, notes="", profile=None):
+def finish_run(machine, name, output=None, notes=""):
     """Package a completed machine run into a :class:`RunResult`.
 
-    ``profile`` is an optional :class:`~repro.sim.stats.AccessProfile`
-    that observed the run; its per-level breakdown is detached and
-    recorded on the result.
+    The result carries the counters, the energy split and the
+    hierarchy's per-level outcome counts.
     """
-    access_profile = {}
-    if profile is not None:
-        profile.detach()
-        access_profile = profile.breakdown()
     return RunResult(
         name=name,
         cycles=machine.scheduler.now,
@@ -119,5 +114,5 @@ def finish_run(machine, name, output=None, notes="", profile=None):
         output=output,
         notes=notes,
         energy_breakdown=machine.energy_model.breakdown_pj(machine.stats),
-        access_profile=access_profile,
+        access_profile=dict(machine.hierarchy.outcome_counts),
     )

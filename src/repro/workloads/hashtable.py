@@ -28,7 +28,6 @@ from repro.core.offload import Invoke, Location
 from repro.core.runtime import Leviathan
 from repro.sim.config import SystemConfig, CacheConfig
 from repro.sim.ops import Compute, Load
-from repro.sim.stats import AccessProfile
 from repro.sim.system import Machine
 from repro.workloads.common import finish_run
 
@@ -236,7 +235,6 @@ def run_baseline(params=None, n_tiles=16, table_bytes=None, config_overrides=Non
     machine = Machine(
         _make_config(p, n_tiles, table_bytes=table_bytes, config_overrides=config_overrides)
     )
-    profile = AccessProfile(machine)
     table = _Table(machine, None, p)
     results = []
     for t, keys in enumerate(table.lookup_keys()):
@@ -245,7 +243,7 @@ def run_baseline(params=None, n_tiles=16, table_bytes=None, config_overrides=Non
         )
     machine.run()
     _verify(table, results)
-    return finish_run(machine, "baseline", output=sum(results), profile=profile)
+    return finish_run(machine, "baseline", output=sum(results))
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +284,6 @@ def _run_leviathan_variant(
             config_overrides=config_overrides,
         )
     )
-    profile = AccessProfile(machine)
     runtime = Leviathan(machine)
     table = _Table(machine, runtime, p, padding=padding, llc_mapping=llc_mapping)
     results = []
@@ -298,7 +295,7 @@ def _run_leviathan_variant(
         )
     machine.run()
     _verify(table, results)
-    return finish_run(machine, name, output=sum(results), profile=profile)
+    return finish_run(machine, name, output=sum(results))
 
 
 def run_leviathan(

@@ -38,7 +38,6 @@ from repro.core.offload import Invoke, Location
 from repro.core.runtime import Leviathan
 from repro.sim.config import CacheConfig, SystemConfig
 from repro.sim.ops import Compute, Load, Store
-from repro.sim.stats import AccessProfile
 from repro.sim.system import Machine
 from repro.sim.telemetry.requests import RequestLatencyProbe
 from repro.workloads.common import finish_run
@@ -254,7 +253,6 @@ def run_baseline(params=None, n_tiles=4, config_overrides=None):
     if config_overrides:
         cfg = cfg.scaled(**config_overrides)
     machine = Machine(cfg)
-    profile = AccessProfile(machine)
     backing = _alloc_backing(machine, p)
     quota = max(1, p["resident_pages"] // p["n_workers"])
     sinks = [{"decoded": 0} for _ in range(p["n_workers"])]
@@ -271,7 +269,7 @@ def run_baseline(params=None, n_tiles=4, config_overrides=None):
     output = sum(s["decoded"] for s in sinks)
     if output != expected_output(p):
         raise AssertionError("kvpaging baseline: output != oracle")
-    return finish_run(machine, "baseline", output=output, profile=profile)
+    return finish_run(machine, "baseline", output=output)
 
 
 def run_leviathan(params=None, n_tiles=4, ideal=False, config_overrides=None):
@@ -285,7 +283,6 @@ def run_leviathan(params=None, n_tiles=4, ideal=False, config_overrides=None):
     if config_overrides:
         cfg = cfg.scaled(**config_overrides)
     machine = Machine(cfg)
-    profile = AccessProfile(machine)
     runtime = Leviathan(machine)
     backing = _alloc_backing(machine, p)
     morph = PageMorph(runtime, p["n_pages"], p["page_bytes"], backing)
@@ -306,9 +303,7 @@ def run_leviathan(params=None, n_tiles=4, ideal=False, config_overrides=None):
     output = sum(s["decoded"] for s in sinks)
     if output != expected_output(p):
         raise AssertionError("kvpaging leviathan: output != oracle")
-    result = finish_run(
-        machine, "ideal" if ideal else "leviathan", output=output, profile=profile
-    )
+    result = finish_run(machine, "ideal" if ideal else "leviathan", output=output)
     probe.finalize()
     result.stats.update(probe.stat_fields())
     return result

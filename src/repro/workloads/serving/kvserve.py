@@ -37,7 +37,6 @@ from repro.core.runtime import Leviathan
 from repro.core.stream import STREAM_END, Stream
 from repro.sim.config import CacheConfig, SystemConfig
 from repro.sim.ops import Compute, Load, Sleep, Store
-from repro.sim.stats import AccessProfile
 from repro.sim.system import Machine
 from repro.sim.telemetry.requests import RequestLatencyProbe
 from repro.workloads.common import finish_run
@@ -358,7 +357,6 @@ def _run_kv(
     if config_overrides:
         cfg = cfg.scaled(**config_overrides)
     machine = Machine(cfg)
-    profile = AccessProfile(machine)
     sinks = [{"get": 0, "put": 0, "scan": 0} for _ in schedules]
     probe = None
     if use_runtime:
@@ -409,7 +407,7 @@ def _run_kv(
     expected = expected_output(schedules, p)
     if output != expected:
         raise AssertionError(f"kvserve {name}: output {output} != oracle {expected}")
-    result = finish_run(machine, name, output=output, profile=profile)
+    result = finish_run(machine, name, output=output)
     if probe is not None:
         probe.finalize()
         result.stats.update(probe.stat_fields())

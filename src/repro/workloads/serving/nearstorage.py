@@ -33,7 +33,6 @@ from repro.core.offload import Invoke, Location
 from repro.core.runtime import Leviathan
 from repro.sim.config import CacheConfig, SystemConfig
 from repro.sim.ops import Compute, Load
-from repro.sim.stats import AccessProfile
 from repro.sim.system import Machine
 from repro.sim.telemetry.requests import RequestLatencyProbe
 from repro.workloads.common import finish_run
@@ -214,14 +213,14 @@ def _pushdown_driver(machine, chunks, sink):
         sink["matched"] += int(matched)
 
 
-def _collect(machine, p, sinks, name, profile, probe=None):
+def _collect(machine, p, sinks, name, probe=None):
     output = [
         sum(s["joined"] for s in sinks),
         sum(s["matched"] for s in sinks),
     ]
     if output != expected_output(p):
         raise AssertionError(f"nearstorage {name}: output != oracle")
-    result = finish_run(machine, name, output=output, profile=profile)
+    result = finish_run(machine, name, output=output)
     if probe is not None:
         probe.finalize()
         result.stats.update(probe.stat_fields())
@@ -235,7 +234,6 @@ def run_baseline(params=None, n_tiles=8, config_overrides=None):
     if config_overrides:
         cfg = cfg.scaled(**config_overrides)
     machine = Machine(cfg)
-    profile = AccessProfile(machine)
     chunks = _build_chunks(machine, None, p)
     dim_base = _build_dim(machine, p)
     sinks = [{"joined": 0, "matched": 0} for _ in range(p["n_scanners"])]
@@ -246,7 +244,7 @@ def run_baseline(params=None, n_tiles=8, config_overrides=None):
             name=f"scan{s}",
         )
     machine.run()
-    return _collect(machine, p, sinks, "baseline", profile)
+    return _collect(machine, p, sinks, "baseline")
 
 
 def run_leviathan(params=None, n_tiles=8, ideal=False, config_overrides=None):
@@ -256,7 +254,6 @@ def run_leviathan(params=None, n_tiles=8, ideal=False, config_overrides=None):
     if config_overrides:
         cfg = cfg.scaled(**config_overrides)
     machine = Machine(cfg)
-    profile = AccessProfile(machine)
     runtime = Leviathan(machine)
     chunks = _build_chunks(machine, runtime, p)
     _build_dim(machine, p)  # same layout; the pushdown join never loads it
@@ -269,6 +266,4 @@ def run_leviathan(params=None, n_tiles=8, ideal=False, config_overrides=None):
             name=f"scan{s}",
         )
     machine.run()
-    return _collect(
-        machine, p, sinks, "ideal" if ideal else "leviathan", profile, probe
-    )
+    return _collect(machine, p, sinks, "ideal" if ideal else "leviathan", probe)

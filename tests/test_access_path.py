@@ -2,11 +2,21 @@
 
 Each test drives the hierarchy into a known state and asserts the exact
 ``AccessResult.outcomes`` trail -- the request plumbing the experiments
-use for per-level attribution.
+use for per-level attribution -- or the hierarchy's tally of those
+trails, ``Hierarchy.outcome_counts``.
 """
 
+from collections import Counter
+
+import pytest
+
+from repro.sim.events import MemoryAccess
 from repro.sim.hierarchy import ConstructResult, HierarchyHooks
-from repro.sim.stats import AccessProfile
+from repro.sim.observers import add_machine_observer, remove_machine_observer
+from repro.workloads import hashtable, hats
+from repro.workloads.serving import kvpaging, kvserve
+from tests.test_dispatch_identity import HATS_SMALL, SMALL
+from tests.test_serving import KV_SMALL, PAGING_SMALL
 
 ADDR = 0x2_0000
 
@@ -122,25 +132,83 @@ class TestMorphPath:
         assert machine.stats["dram.accesses"] == 0
 
 
-class TestAccessProfile:
-    def test_profile_accumulates_breakdown(self, machine):
-        profile = AccessProfile(machine)
+class _TrailSum:
+    """A bare MemoryAccess subscriber summing every event's outcome trail."""
+
+    def __init__(self, machine):
+        self.bus = machine.events
+        self.fill = machine.hierarchy.fill_engine
+        self.summed = Counter()
+        #: Events emitted inside a data-triggered constructor.
+        self.nested = 0
+        self.bus.subscribe(MemoryAccess, self._on_access)
+
+    def _on_access(self, event):
+        self.summed.update(event.result.outcomes)
+        if self.fill._hook_depth:
+            self.nested += 1
+
+    def detach(self):
+        self.bus.unsubscribe(MemoryAccess, self._on_access)
+
+
+#: Small runs, and whether their constructors access memory: a
+#: hash-table run (no morph), a KV-cache pager (page morph), a KV server
+#: (scan streams) and HATS (traversal streams).
+_RUNS = [
+    pytest.param(
+        lambda: hashtable.run_leviathan(dict(SMALL), n_tiles=4), False, id="hashtable"
+    ),
+    pytest.param(
+        lambda: kvpaging.run_leviathan(PAGING_SMALL, n_tiles=4), True, id="kvpaging"
+    ),
+    pytest.param(
+        lambda: kvserve.run_leviathan(KV_SMALL, n_tiles=4), True, id="kvserve"
+    ),
+    pytest.param(
+        lambda: hats.run_leviathan(dict(HATS_SMALL), n_tiles=4), True, id="hats"
+    ),
+]
+
+
+class TestOutcomeCounts:
+    """``Hierarchy.outcome_counts`` is the sum of every access's trail."""
+
+    def test_counts_accumulate_breakdown(self, machine):
+        trails = _TrailSum(machine)
         _access(machine)  # dram fill
         _access(machine)  # l1 hit
         _access(machine, tile=1)  # llc hit
-        assert profile.requests == 3
-        assert profile.count("l1", "hit") == 1
-        assert profile.count("dram", "fill") == 1
-        assert profile.served_by[("llc", "hit")] == 1
-        assert profile.by_tile == {0: 2, 1: 1}
-        assert profile.hit_rate("l1") == 1 / 3
-        assert profile.mean_latency("l1") <= machine.config.l1.hit_latency + 1
-        assert "requests" in profile.summary()
+        two_lines = _access(machine, addr=ADDR + 0x1000, size=128)
+        assert two_lines.count("dram", "fill") == 2
+        counts = machine.hierarchy.outcome_counts
+        assert counts[("l1", "hit")] == 1
+        assert counts[("llc", "hit")] == 1
+        assert counts[("dram", "fill")] == 3
+        assert sum(counts.values()) == 4 + 1 + 3 + 8
+        assert counts == trails.summed
 
-    def test_detach_stops_accumulation(self, machine):
-        profile = AccessProfile(machine)
+    def test_detached_walks_still_count(self, machine):
+        trails = _TrailSum(machine)
         _access(machine)
-        profile.detach()
-        _access(machine)
-        assert profile.requests == 1
+        trails.detach()
         assert not machine.events.active
+        machine.hierarchy.access_latency(0, ADDR, 8, is_write=False)  # l1 hit
+        assert sum(trails.summed.values()) == 4
+        counts = machine.hierarchy.outcome_counts
+        assert counts == trails.summed + Counter({("l1", "hit"): 1})
+
+    @pytest.mark.parametrize("runner, constructs", _RUNS)
+    def test_run_counts_equal_subscriber_sum(self, runner, constructs):
+        attached = []
+        observe = add_machine_observer(lambda built: attached.append(_TrailSum(built)))
+        try:
+            result = runner()
+        finally:
+            remove_machine_observer(observe)
+        [trails] = attached
+        assert trails.summed, "the subscriber saw no access"
+        assert result.access_profile == dict(trails.summed)
+        # Constructor accesses are nested inside the access they serve;
+        # each counts once, as its own access.
+        assert (trails.nested > 0) == constructs

@@ -344,6 +344,15 @@ class TestExplainCli:
         assert report["kind"] == "leviathan-explain"
         assert (run_dir / "explain.md").exists()
 
+    def test_explain_out_dot_writes_to_current_directory(
+        self, kv_artifacts, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["explain", str(kv_artifacts["run_dir"]), "--out", "."]) == 0
+        report = json.loads((tmp_path / "explain.json").read_text())
+        assert report["kind"] == "leviathan-explain"
+        assert (tmp_path / "explain.md").exists()
+
     def test_explain_diff_exit_code_and_output(self, kv_artifacts, capsys):
         code = cli_main(
             [

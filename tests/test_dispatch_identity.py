@@ -1,25 +1,29 @@
 """Attached/detached dispatch identity on the fig18 and HATS workloads.
 
-Every access walks the caches the same way. When anything subscribes
-to ``MemoryAccess`` -- an :class:`AccessProfile` (every hash-table run
-attaches one) or a telemetry session -- each access also builds a full
-:class:`AccessResult` and emits it; with no subscriber (a plain HATS
-run, or a hash-table run with the profile stubbed out) only the
-latency is returned. A fault plan subscribes only to invoke-lifecycle
-events, so it does not change which variant runs; a flight recorder
-subscribes to every event type. These are
-*performance* variants, not semantic ones: a run must produce
+Every access walks the caches the same way, and the hierarchy counts
+every walk's outcome trail. When anything subscribes to
+``MemoryAccess`` -- a bare handler, a request-latency probe or a
+telemetry session -- each access also builds a full
+:class:`AccessResult` and emits it; with no subscriber (a plain
+hash-table or HATS run) only the latency is returned. A fault plan
+subscribes only to invoke-lifecycle events, so it does not change which
+variant runs; a flight recorder subscribes to every event type. These
+are *performance* variants, not semantic ones: a run must produce
 bit-identical timing, energy, statistics (phase-qualified counters
-included), and functional output no matter which variant it took, and
-attached runs must observe identical ``AccessResult`` streams.
+included), per-level access counts and functional output no matter
+which variant it took, and attached runs must observe identical
+``AccessResult`` streams.
 """
+
+from contextlib import contextmanager
 
 import pytest
 
 import repro.workloads.hashtable as hashtable
 import repro.workloads.hats as hats
+from repro.sim.events import MemoryAccess
 from repro.sim.faults import FaultSession
-from repro.sim.stats import AccessProfile
+from repro.sim.observers import add_machine_observer, remove_machine_observer
 from repro.sim.telemetry.flightrec import FlightRecorderSession
 from repro.sim.telemetry.session import TelemetrySession
 
@@ -35,52 +39,42 @@ SETUP_COUNTERS = {"allocator.pools", "morph.registrations"}
 
 
 def fingerprint(result):
-    """Everything a run produces except the (optional) access profile."""
+    """Everything a run produces."""
     return (
         result.cycles,
         result.energy_pj,
         result.stats,
         repr(result.output),
         result.energy_breakdown,
+        result.access_profile,
     )
 
 
-class _NullProfile:
-    """Stand-in that never subscribes: forces the detached fast path."""
+@contextmanager
+def memory_access_streams():
+    """Log the MemoryAccess stream of every machine built inside.
 
-    def __init__(self, machine=None):
-        self.requests = 0
+    A bare subscriber installed through ``add_machine_observer``; yields
+    a list that gains one stream per machine, each entry the event's
+    fields with the ``repr`` of its ``AccessResult``.
+    """
+    streams = []
 
-    def detach(self):
-        return self
+    def observe(machine):
+        stream = []
+        streams.append(stream)
 
-    def breakdown(self):
-        return {}
+        def on_access(e):
+            fields = (e.tile, e.addr, e.size, e.is_write, e.engine, e.near_memory)
+            stream.append((*fields, repr(e.result)))
 
+        machine.events.subscribe(MemoryAccess, on_access)
 
-class _RecordingProfile(AccessProfile):
-    """AccessProfile that also logs the full MemoryAccess stream."""
-
-    instances = []
-
-    def __init__(self, machine=None):
-        self.stream = []
-        super().__init__(machine)
-        _RecordingProfile.instances.append(self)
-
-    def _on_access(self, event):
-        self.stream.append(
-            (
-                event.tile,
-                event.addr,
-                event.size,
-                event.is_write,
-                event.engine,
-                event.near_memory,
-                repr(event.result),
-            )
-        )
-        super()._on_access(event)
+    add_machine_observer(observe)
+    try:
+        yield streams
+    finally:
+        remove_machine_observer(observe)
 
 
 def _run(runner, **kwargs):
@@ -91,19 +85,20 @@ def _run(runner, **kwargs):
     "runner", [hashtable.run_baseline, hashtable.run_leviathan], ids=["baseline", "leviathan"]
 )
 class TestAttachedDetachedIdentity:
-    def test_detached_matches_attached(self, runner, monkeypatch):
-        attached = _run(runner)
-        assert attached.access_profile  # default runner really instruments
-        monkeypatch.setattr(hashtable, "AccessProfile", _NullProfile)
+    def test_detached_matches_attached(self, runner):
         detached = _run(runner)
-        assert detached.access_profile == {}
-        assert fingerprint(detached) == fingerprint(attached)
+        assert detached.access_profile  # the hierarchy counted the walks
+        with memory_access_streams() as streams:
+            attached = _run(runner)
+        [stream] = streams
+        assert stream  # the run really took the instrumented path
+        assert fingerprint(attached) == fingerprint(detached)
 
     def test_fault_attached_matches(self, runner):
         attached = _run(runner)
         # An inert plan (probability 0) attaches the fault machinery
-        # without ever perturbing the run; the access path stays the
-        # one the runner's AccessProfile selects.
+        # without ever perturbing the run; it wants no MemoryAccess, so
+        # the access path stays the detached one.
         with FaultSession("noc-delay:0.0@5") as session:
             faulted = _run(runner)
         assert session.total_injected == 0
@@ -149,14 +144,11 @@ class TestAccessResultStream:
         [hashtable.run_baseline, hashtable.run_leviathan],
         ids=["baseline", "leviathan"],
     )
-    def test_repeated_attached_runs_identical_streams(self, runner, monkeypatch):
-        monkeypatch.setattr(hashtable, "AccessProfile", _RecordingProfile)
-        monkeypatch.setattr(_RecordingProfile, "instances", [])
-        first = _run(runner)
-        second = _run(runner)
-        streams = [p.stream for p in _RecordingProfile.instances]
+    def test_repeated_attached_runs_identical_streams(self, runner):
+        with memory_access_streams() as streams:
+            first = _run(runner)
+            second = _run(runner)
         assert len(streams) == 2
         assert streams[0], "instrumented run observed no accesses"
         assert streams[0] == streams[1]
         assert fingerprint(first) == fingerprint(second)
-        assert first.access_profile == second.access_profile

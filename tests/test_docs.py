@@ -1,5 +1,6 @@
 """Documentation hygiene: links resolve, README indexes every docs page,
-and every dotted ``repro.…`` name the docs cite still exists.
+and every dotted ``repro.…`` name, repo path and test file the docs
+cite still exists.
 
 CI runs this as the docs job; it keeps the markdown link graph honest
 as files move.
@@ -90,3 +91,45 @@ def test_dotted_names_resolve(doc):
     names = set(_DOTTED.findall(doc.read_text()))
     unresolved = sorted(name for name in names if not _resolves(name))
     assert not unresolved, f"{doc.relative_to(REPO)} names missing code: {unresolved}"
+
+
+#: Fenced code blocks: their commands name directories a run creates.
+_FENCED = re.compile(r"^```.*?^```", re.S | re.M)
+#: Inline code spans.
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+#: A repo path inside a code span (``benchmarks/test_x.py::test_y``).
+_REPO_PATH = re.compile(
+    r"(?<![\w./-])((?:benchmarks|tests|src|docs|perfbench|examples)/[^\s:#\[]*)"
+)
+#: A bare test-file name inside a code span (``test_docs.py``).
+_TEST_FILE = re.compile(r"(?<![\w./-])(test_\w+\.py)\b")
+#: Placeholders (``BENCH_<sha>.json``, ``$DIR``) that name no one file.
+_PLACEHOLDER = re.compile(r"[<>{}$]")
+
+
+def _test_file_names():
+    return {
+        path.name
+        for top in ("tests", "benchmarks", "perfbench", "examples")
+        for path in (REPO / top).rglob("test_*.py")
+    }
+
+
+@pytest.mark.parametrize("doc", _NAMING_DOCS, ids=lambda p: p.name)
+def test_cited_paths_exist(doc):
+    spans = _CODE_SPAN.findall(_FENCED.sub("", doc.read_text()))
+    test_files = _test_file_names()
+    missing = set()
+    for span in spans:
+        for path in _REPO_PATH.findall(span):
+            path = path.rstrip(".,;)")
+            if _PLACEHOLDER.search(path):
+                continue
+            if not any(REPO.glob(path)):
+                missing.add(path)
+        missing.update(
+            name for name in _TEST_FILE.findall(span) if name not in test_files
+        )
+    assert not missing, (
+        f"{doc.relative_to(REPO)} cites missing files: {sorted(missing)}"
+    )

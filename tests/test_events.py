@@ -18,7 +18,6 @@ from repro.core.offload import Invoke, Location
 from repro.core.runtime import Leviathan
 from repro.sim.config import small_config
 from repro.sim.ops import Compute, Load, Store
-from repro.sim.stats import AccessProfile
 from repro.sim.system import Machine
 from repro.sim.faults import FaultPlan
 from repro.sim.telemetry import (
@@ -215,16 +214,17 @@ class TestZeroSubscriberCost:
         with pytest.raises(AssertionError, match="constructed"):
             machine.hierarchy.access(0, 0x10000, 8, is_write=False)
 
-    def test_access_profile_builds_no_lifecycle_event(self, monkeypatch):
-        """An AccessProfile wants only MemoryAccess: invokes must neither
+    def test_memory_access_subscriber_builds_no_lifecycle_event(self, monkeypatch):
+        """A subscriber to MemoryAccess alone: invokes must neither
         build offload lifecycle events nor draw correlation IDs."""
         for event_type in _OFFLOAD_LIFECYCLE_EVENTS:
             monkeypatch.setattr(event_type, "__init__", _lifecycle_trap)
         machine = Machine(small_config())
-        profile = AccessProfile(machine)
+        seen = []
+        machine.events.subscribe(MemoryAccess, seen.append)
         values = _run_two_invokes(machine)
         assert values == [7, 7]
-        assert profile.requests > 0  # the profile saw the engine's loads
+        assert seen  # the subscriber saw the engine's loads
         assert machine._cid == 0
 
     def test_lifecycle_trap_fires_with_telemetry(self, monkeypatch):
@@ -233,7 +233,7 @@ class TestZeroSubscriberCost:
             monkeypatch.setattr(event_type, "__init__", _lifecycle_trap)
         with TelemetrySession():
             machine = Machine(small_config())
-            AccessProfile(machine)
+            machine.events.subscribe(MemoryAccess, lambda e: None)
             with pytest.raises(AssertionError, match="lifecycle event built"):
                 _run_two_invokes(machine)
 
@@ -248,7 +248,7 @@ class TestZeroSubscriberCost:
             events.StreamBlocked,
         }
         machine = Machine(small_config())
-        AccessProfile(machine)
+        machine.events.subscribe(MemoryAccess, lambda e: None)
         assert not machine.emit_lifecycle
         for attach in (
             Telemetry,

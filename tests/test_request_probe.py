@@ -17,7 +17,6 @@ from repro.core.runtime import Leviathan
 from repro.sim import events
 from repro.sim.config import small_config
 from repro.sim.ops import Compute, Load
-from repro.sim.stats import AccessProfile
 from repro.sim.system import Machine
 from repro.sim.telemetry import Telemetry, TelemetrySession
 from repro.sim.telemetry.critpath import COMPONENTS
@@ -82,7 +81,7 @@ def _run_reads(machine, n=3):
 class TestSubscriptionSurface:
     def test_probe_builds_no_fabric_event(self):
         machine = Machine(small_config())
-        AccessProfile(machine)
+        machine.events.subscribe(events.MemoryAccess, lambda e: None)
         RequestLatencyProbe(machine, {"read": "read"})
         for event_type in _FABRIC_EVENTS:
             assert not machine.events.wants(event_type), event_type.__name__
@@ -96,7 +95,7 @@ class TestSubscriptionSurface:
 
     def test_telemetry_turns_fabric_flags_on_and_detach_off(self):
         machine = Machine(small_config())
-        AccessProfile(machine)
+        machine.events.subscribe(events.MemoryAccess, lambda e: None)
         RequestLatencyProbe(machine, {"read": "read"})
         telemetry = Telemetry(machine)
         flags = _fabric_flags(machine)
