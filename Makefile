@@ -2,16 +2,13 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench experiments report examples clean
+.PHONY: install test experiments report examples clean
 
 install:
 	pip install -e . || pip install -e . --no-build-isolation
 
 test:
 	$(PYTHON) -m pytest tests/
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 experiments:
 	$(PYTHON) -m repro.experiments all

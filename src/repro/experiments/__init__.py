@@ -7,11 +7,10 @@ series the paper reports, plus a ``check()`` on the qualitative shape
 (who wins, roughly by how much, where the knees fall).
 
 ``python -m repro.experiments <name>`` (or the ``leviathan-repro``
-entry point) runs them from the command line.
+entry point) runs them from the command line; its experiment table,
+``repro.experiments.cli._EXPERIMENTS``, names every one.
 """
 
-from repro.experiments.runner import Experiment, ExperimentRegistry
+from repro.experiments.runner import Experiment
 
-registry = ExperimentRegistry()
-
-__all__ = ["Experiment", "registry"]
+__all__ = ["Experiment"]

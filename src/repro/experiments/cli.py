@@ -55,11 +55,12 @@ import sys
 import time
 import traceback
 
-from repro.experiments import registry
 from repro.experiments import ablations, figures, sensitivity, serving, tables
 from repro.experiments.pool import ExperimentPool, SweepInterrupted
 from repro.experiments.retry import RetryPolicy
 
+#: Experiment name -> (runner, description). Every runner takes the
+#: invocation's shared ``pool`` and returns an ``Experiment``.
 _EXPERIMENTS = {
     "table1": (tables.run_table1, "Table I: NDC taxonomy"),
     "table2": (tables.run_table2, "Table II: actions per paradigm"),
@@ -91,9 +92,6 @@ _EXPERIMENTS = {
     "serve-scan": (serving.run_serve_scan, "serving zoo: near-storage scan pushdown"),
     "serve-replay": (serving.run_serve_replay, "serving zoo: JSONL trace replay"),
 }
-
-for _name, (_runner, _desc) in _EXPERIMENTS.items():
-    registry.register(_name, _runner, _desc)
 
 #: Positional names that are commands, not registered experiments.
 _COMMANDS = ("all", "list", "telemetry", "status", "explain", "bench")
@@ -277,18 +275,18 @@ def main(argv=None):
             f"--run-retries must be >= 1 (1 disables retry), "
             f"got {args.run_retries}"
         )
-    if args.experiment not in _COMMANDS and args.experiment not in registry.names():
+    if args.experiment not in _COMMANDS and args.experiment not in _EXPERIMENTS:
         parser.error(
             f"unknown experiment {args.experiment!r}; "
-            f"known: {', '.join(registry.names())}"
+            f"known: {', '.join(sorted(_EXPERIMENTS))}"
         )
 
     if args.experiment == "bench":
         return _run_bench(args)
 
     if args.experiment == "list":
-        for name in registry.names():
-            print(f"{name:22s} {registry.describe()[name]}")
+        for name in sorted(_EXPERIMENTS):
+            print(f"{name:22s} {_EXPERIMENTS[name][1]}")
         return 0
 
     if args.experiment == "telemetry":
@@ -364,7 +362,7 @@ def main(argv=None):
         run_timeout=args.run_timeout,
     )
 
-    names = registry.names() if args.experiment == "all" else [args.experiment]
+    names = sorted(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     failed = []
     crashed = []
     markdown_sections = []
@@ -373,7 +371,7 @@ def main(argv=None):
         error = None
         error_text = None
         try:
-            experiment = registry.run(name, pool=pool)
+            experiment = _EXPERIMENTS[name][0](pool=pool)
         except SweepInterrupted as exc:
             # Graceful drain already happened (manifest flushed and
             # fsynced); exit nonzero with the resume hint.
@@ -443,7 +441,10 @@ def main(argv=None):
             print(speedup_chart(experiment))
         print(f"({elapsed:.1f}s)\n")
         if args.markdown:
-            markdown_sections.append(_markdown_section(name, experiment, elapsed))
+            markdown_sections.append(
+                f"{experiment.markdown()}\n\n"
+                f"_Regenerate with `leviathan-repro {name}` ({elapsed:.1f}s)._\n"
+            )
         if not args.no_check and not experiment.passed:
             failed.append(name)
     if args.markdown:
@@ -538,40 +539,6 @@ def _run_bench(args):
         if has_regression(verdicts):
             return 1
     return 0
-
-
-def _markdown_section(name, experiment, elapsed):
-    lines = [f"## {experiment.name} ({experiment.paper_reference})", ""]
-    if experiment.notes:
-        lines.append(experiment.notes)
-        lines.append("")
-    if experiment.rows:
-        columns = []
-        for row in experiment.rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
-        lines.append("| " + " | ".join(columns) + " |")
-        lines.append("|" + "---|" * len(columns))
-        for row in experiment.rows:
-            lines.append(
-                "| "
-                + " | ".join(_fmt_md(row.get(c, "")) for c in columns)
-                + " |"
-            )
-        lines.append("")
-    for expectation in experiment.expectations:
-        lines.append(f"- {expectation}")
-    lines.append("")
-    lines.append(f"_Regenerate with `leviathan-repro {name}` ({elapsed:.1f}s)._")
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _fmt_md(value):
-    if isinstance(value, float):
-        return f"{value:.3g}"
-    return str(value)
 
 
 if __name__ == "__main__":

@@ -10,9 +10,11 @@ execution each -- and executes them on a worker pool:
   ``jobs`` long-lived worker processes, one run per worker at a time.
 - Every spec is content-hashed (function path + canonicalized kwargs +
   the armed fault plan); completed results are written to
-  ``<cache-dir>/<hash>.json`` so re-runs and overlapping sweeps are
-  free (Figs. 20 and 21 share the HATS study through the cache rather
-  than through ad-hoc memoization).
+  ``<cache-dir>/<code>/<hash>.json``, where ``<code>`` names the
+  ``repro`` sources that produced them, so re-runs and overlapping
+  sweeps are free (Figs. 20 and 21 share the HATS study through the
+  cache rather than through ad-hoc memoization) and results of other
+  code never come back.
 - An append-only ``<cache-dir>/manifest.jsonl`` journals every spec as
   it completes, so an interrupted sweep resumes with ``resume=True`` by
   skipping hashes the journal already records (a truncated final line
@@ -55,6 +57,7 @@ so a ``jobs=8`` sweep produces bit-identical figure data to ``jobs=1``
 """
 
 import collections
+import functools
 import hashlib
 import importlib
 import json
@@ -76,9 +79,6 @@ from repro.sim.telemetry.session import TelemetrySession
 from repro.workloads.common import RunResult, StudyResult
 
 _log = get_logger("pool")
-
-#: Bump when the cached-payload layout changes; old entries then miss.
-SCHEMA_VERSION = 1
 
 
 # ----------------------------------------------------------------------
@@ -125,15 +125,57 @@ def canonical_json(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+@functools.lru_cache(maxsize=None)
+def code_digest():
+    """sha256 over every ``.py`` source of the ``repro`` package.
+
+    Names the cache directory an entry is stored in
+    (:func:`cache_entry_path`), so an entry cached by other code (a
+    change to a workload, to the model or to what a run returns)
+    misses instead of being served. Computed on first use, once per
+    process, never at import.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            relpath = os.path.relpath(path, root).replace(os.sep, "/")
+            with open(path, "rb") as handle:
+                source = handle.read()
+            digest.update(f"{relpath}\0{len(source)}\0".encode())
+            digest.update(source)
+    return digest.hexdigest()
+
+
 def spec_hash(spec, faults=None):
-    """Content hash of one spec (label excluded, fault plan included)."""
+    """Content hash of one spec (label excluded, fault plan included).
+
+    It does not depend on the code, so a run keeps its hash -- in the
+    manifest, in artifact directory names and in the chaos hook's kill
+    schedule -- from one commit to the next; the cache keys entries on
+    the code by their directory instead.
+    """
     payload = {
-        "schema": SCHEMA_VERSION,
+        "schema": 1,  # the payload's layout; changing it renames every run
         "fn": spec.fn,
         "kwargs": _canonical(spec.kwargs),
         "faults": faults or None,
     }
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:24]
+
+
+def cache_entry_path(cache_dir, digest):
+    """Where the cache keeps spec ``digest``'s entry for this code.
+
+    One directory per :func:`code_digest` (its first 12 hex digits):
+    entries of other code are never read, and dropping a stale
+    generation is deleting its directory.
+    """
+    return os.path.join(cache_dir, code_digest()[:12], digest + ".json")
 
 
 # ----------------------------------------------------------------------
@@ -202,16 +244,12 @@ def compute_result_checksum(result_payload):
 
 
 def cache_entry_problem(payload):
-    """Why a parsed cache entry cannot be trusted, or None if it can.
-
-    Entries written before checksums existed (no ``checksum`` field)
-    are accepted unverified for backward compatibility.
-    """
+    """Why a parsed cache entry cannot be trusted, or None if it can."""
     if "result" not in payload:
         return "entry has no result payload"
     stored = payload.get("checksum")
     if stored is None:
-        return None
+        return "entry has no checksum"
     actual = compute_result_checksum(payload["result"])
     if stored != actual:
         return f"checksum mismatch: stored {stored}, payload hashes to {actual}"
@@ -573,16 +611,13 @@ class ExperimentPool:
         except FileNotFoundError:
             pass
 
-    def _cache_path(self, digest):
-        return os.path.join(self.cache_dir, digest + ".json")
-
     def _load_cached(self, digest):
         if self.telemetry_dir or self.profile_dir:
             return None  # artifacts require a fresh execution
         if not self.cache_dir or not (self.cache or digest in self._resumed):
             return None
         try:
-            with open(self._cache_path(digest)) as handle:
+            with open(cache_entry_path(self.cache_dir, digest)) as handle:
                 payload = json.load(handle)
         except FileNotFoundError:
             return None
@@ -604,7 +639,7 @@ class ExperimentPool:
         their original name for operator inspection -- never served,
         never silently deleted.
         """
-        source = self._cache_path(digest)
+        source = cache_entry_path(self.cache_dir, digest)
         quarantine_dir = os.path.join(self.cache_dir, "quarantine")
         os.makedirs(quarantine_dir, exist_ok=True)
         try:
@@ -620,9 +655,9 @@ class ExperimentPool:
     def _store_cached(self, outcome):
         if not self.cache or outcome["status"] != "ok":
             return
-        os.makedirs(self.cache_dir, exist_ok=True)
         outcome["checksum"] = compute_result_checksum(outcome["result"])
-        path = self._cache_path(outcome["hash"])
+        path = cache_entry_path(self.cache_dir, outcome["hash"])
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = path + ".tmp"
         with open(tmp, "w") as handle:
             json.dump(outcome, handle, sort_keys=True)

@@ -1,6 +1,5 @@
 """Experiment plumbing shared by every table/figure module."""
 
-import inspect
 from dataclasses import dataclass, field
 
 
@@ -76,15 +75,21 @@ class Experiment:
     # ------------------------------------------------------------------
     # rendering
     # ------------------------------------------------------------------
-    def table(self):
-        """Render rows as an aligned text table."""
-        if not self.rows:
-            return "(no rows)"
+    @property
+    def columns(self):
+        """Every row key, in first-seen order."""
         columns = []
         for row in self.rows:
             for key in row:
                 if key not in columns:
                     columns.append(key)
+        return columns
+
+    def table(self):
+        """Render rows as an aligned text table."""
+        if not self.rows:
+            return "(no rows)"
+        columns = self.columns
         widths = {
             c: max(len(str(c)), *(len(_fmt(r.get(c, ""))) for r in self.rows))
             for c in columns
@@ -106,52 +111,24 @@ class Experiment:
             lines.append(str(e))
         return "\n".join(lines)
 
+    def markdown(self):
+        """The report as a markdown section: heading, table, expectations."""
+        lines = [f"## {self.name} ({self.paper_reference})", ""]
+        if self.notes:
+            lines += [self.notes, ""]
+        if self.rows:
+            columns = self.columns
+            lines.append("| " + " | ".join(columns) + " |")
+            lines.append("|" + "---|" * len(columns))
+            for row in self.rows:
+                cells = " | ".join(_fmt(row.get(c, "")) for c in columns)
+                lines.append(f"| {cells} |")
+            lines.append("")
+        lines += [f"- {e}" for e in self.expectations]
+        return "\n".join(lines)
+
 
 def _fmt(value):
     if isinstance(value, float):
         return f"{value:.3g}"
     return str(value)
-
-
-class ExperimentRegistry:
-    """Name -> run() mapping used by the CLI."""
-
-    def __init__(self):
-        self._runners = {}
-
-    def register(self, name, runner, description=""):
-        self._runners[name] = (runner, description)
-
-    def names(self):
-        return sorted(self._runners)
-
-    def describe(self):
-        return {name: desc for name, (_, desc) in self._runners.items()}
-
-    def run(self, name, pool=None, **kwargs):
-        """Run one registered experiment.
-
-        ``pool`` is an :class:`~repro.experiments.pool.ExperimentPool`
-        shared across the whole CLI invocation so overlapping specs are
-        executed once. It is forwarded only to runners that declare a
-        ``pool`` parameter — ad-hoc runners (tests register plain
-        callables) keep working unchanged.
-        """
-        if name not in self._runners:
-            raise KeyError(
-                f"unknown experiment {name!r}; known: {', '.join(self.names())}"
-            )
-        runner, _ = self._runners[name]
-        if pool is not None and _accepts_pool(runner):
-            kwargs["pool"] = pool
-        return runner(**kwargs)
-
-
-def _accepts_pool(runner):
-    try:
-        params = inspect.signature(runner).parameters
-    except (TypeError, ValueError):
-        return False
-    return "pool" in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )

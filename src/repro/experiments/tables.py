@@ -1,7 +1,7 @@
 """Tables I-V: taxonomy, actions, microarchitecture support, area, config.
 
 These runners are analytic (no simulation), so they never submit work
-to the experiment pool; they still accept ``pool=None`` so the registry
+to the experiment pool; they still accept ``pool=None`` so the CLI
 can drive every experiment through one uniform interface.
 """
 

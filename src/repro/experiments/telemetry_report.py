@@ -10,6 +10,7 @@ and stall totals, and which windowed time series were captured.
 import json
 import os
 
+from repro.sim.telemetry.metrics import LogHistogram
 from repro.sim.telemetry.perfetto import load_and_validate
 
 
@@ -150,45 +151,6 @@ def render(summary):
 # ----------------------------------------------------------------------
 # the sweep dashboard: one digest across every run of a sweep
 # ----------------------------------------------------------------------
-def _merge_histogram(dest, snap):
-    """Fold one histogram snapshot (bucket-bound -> count) into ``dest``."""
-    if not isinstance(snap, dict) or not snap.get("count"):
-        return
-    dest["count"] += snap.get("count", 0)
-    dest["sum"] += snap.get("sum", 0.0)
-    for bound, n in (snap.get("buckets") or {}).items():
-        dest["buckets"][bound] = dest["buckets"].get(bound, 0) + n
-    for field, pick in (("min", min), ("max", max)):
-        value = snap.get(field)
-        if value is not None:
-            dest[field] = value if dest[field] is None else pick(dest[field], value)
-
-
-def _bucket_percentile(buckets, count, p):
-    """Upper-bound ``p``-th percentile from merged bucket counts."""
-    if not count or not buckets:
-        return 0.0
-    rank = -(-count * p // 100)  # ceil without importing math
-    seen = 0
-    bounds = sorted(buckets, key=float)
-    for bound in bounds:
-        seen += buckets[bound]
-        if seen >= rank:
-            return float(bound)
-    return float(bounds[-1])
-
-
-def _empty_component():
-    return {
-        "total": 0.0,
-        "count": 0,
-        "sum": 0.0,
-        "min": None,
-        "max": None,
-        "buckets": {},
-    }
-
-
 def aggregate_attribution(root):
     """Merge every ``attribution.json`` under ``root`` per request class.
 
@@ -214,21 +176,21 @@ def aggregate_attribution(root):
             dest["cycles"] += cycles
             dest["residue"] += (1.0 - entry.get("coverage", 1.0)) * cycles
             for component, comp in (entry.get("components") or {}).items():
-                comp_dest = dest["components"].setdefault(
-                    component, _empty_component()
-                )
-                comp_dest["total"] += comp.get("total", 0.0)
-                _merge_histogram(comp_dest, comp)
+                slot = dest["components"].setdefault(component, [0.0, LogHistogram()])
+                slot[0] += comp.get("total", 0.0)
+                slot[1].merge(comp)
     for dest in merged.values():
         cycles = dest["cycles"]
         dest["coverage"] = 1.0 - dest["residue"] / cycles if cycles else 1.0
         del dest["residue"]
-        for comp in dest["components"].values():
-            count = comp["count"]
-            comp["mean"] = comp["sum"] / count if count else 0.0
-            comp["share"] = comp["total"] / cycles if cycles else 0.0
-            for p in (50, 95, 99):
-                comp[f"p{p}"] = _bucket_percentile(comp["buckets"], count, p)
+        dest["components"] = {
+            component: dict(
+                hist.snapshot(),
+                total=total,
+                share=total / cycles if cycles else 0.0,
+            )
+            for component, (total, hist) in dest["components"].items()
+        }
     return merged
 
 
@@ -270,11 +232,7 @@ def aggregate_sweep(root):
             prefix = base.split(".", 1)[0]
             subsystems[prefix] = subsystems.get(prefix, 0) + value
         for key, snap in (metrics.get("histograms") or {}).items():
-            base = key.partition("{")[0]
-            dest = histograms.setdefault(
-                base, {"count": 0, "sum": 0.0, "min": None, "max": None, "buckets": {}}
-            )
-            _merge_histogram(dest, snap)
+            histograms.setdefault(key.partition("{")[0], LogHistogram()).merge(snap)
         # The fault session writes fault_report.json one level above the
         # per-machine dirs (runs/<slug>/fault_report.json, beside
         # machine-NN/); tolerate either placement, dedup by path.
@@ -288,11 +246,7 @@ def aggregate_sweep(root):
                 faults_injected += fault_report.get("total_injected") or sum(
                     (fault_report.get("injected") or {}).values()
                 )
-    for hist in histograms.values():
-        count = hist["count"]
-        hist["mean"] = hist["sum"] / count if count else 0.0
-        for p in (50, 95, 99):
-            hist[f"p{p}"] = _bucket_percentile(hist["buckets"], count, p)
+    histograms = {name: hist.snapshot() for name, hist in histograms.items()}
     # Serving workloads declare request classes (GET/PUT/SCAN/...); each
     # surfaces as a request.latency.<class> histogram family. Roll them
     # up under their own key so dashboards and CI can assert on

@@ -350,22 +350,6 @@ class AttributionRollup:
             }
         return out
 
-    def stat_fields(self, prefix="attribution"):
-        """Flat float fields for merging into ``RunResult.stats``."""
-        fields = {}
-        for cls, entry in self.snapshot().items():
-            base = f"{prefix}.{cls}"
-            fields[f"{base}.count"] = float(entry["count"])
-            fields[f"{base}.cycles"] = float(entry["cycles"])
-            fields[f"{base}.coverage"] = float(entry["coverage"])
-            for name, comp in entry["components"].items():
-                comp_base = f"{base}.{name}"
-                fields[f"{comp_base}.total"] = float(comp["total"])
-                fields[f"{comp_base}.p50"] = float(comp["p50"])
-                fields[f"{comp_base}.p95"] = float(comp["p95"])
-                fields[f"{comp_base}.p99"] = float(comp["p99"])
-        return fields
-
 
 def rollup_spans(spans, request_classes=None):
     """Attribute a span list (live or rebuilt) into a fresh rollup.

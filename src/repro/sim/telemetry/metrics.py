@@ -101,6 +101,27 @@ class LogHistogram:
         b = self.bucket_of(value)
         self.buckets[b] = self.buckets.get(b, 0) + 1
 
+    def merge(self, snapshot):
+        """Fold in another histogram's :meth:`snapshot`, bucket by bucket.
+
+        The result is the histogram of both sample sets together, so
+        sweep-wide percentiles follow the same rule as per-run ones.
+        An empty snapshot changes nothing.
+        """
+        if not snapshot.get("count"):
+            return self
+        self.count += snapshot["count"]
+        self.sum += snapshot["sum"]
+        low, high = snapshot["min"], snapshot["max"]
+        if low is not None:
+            self.min = low if self.min is None else min(self.min, low)
+        if high is not None:
+            self.max = high if self.max is None else max(self.max, high)
+        for bound, n in snapshot["buckets"].items():
+            b = int(float(bound)).bit_length() - 1  # bound is 2**b
+            self.buckets[b] = self.buckets.get(b, 0) + n
+        return self
+
     @property
     def mean(self):
         return self.sum / self.count if self.count else 0.0

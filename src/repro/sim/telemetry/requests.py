@@ -71,13 +71,13 @@ class RequestLatencyProbe:
     ``RunResult``'s stats.
     """
 
-    def __init__(self, machine, classes, max_spans=200_000):
+    def __init__(self, machine, classes):
         self.machine = machine
         self.classes = dict(classes)
         declare_request_classes(machine, self.classes)
         #: Holds only the ``request.latency.<class>`` histograms.
         self.metrics = MetricsRegistry()
-        self._requests = RequestSpans(machine, self.metrics, max_spans)
+        self._requests = RequestSpans(machine, self.metrics)
         self.spans = self._requests.spans
         self._feeds = self._requests.feeds()
         self._finalized = False

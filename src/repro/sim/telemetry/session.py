@@ -57,7 +57,7 @@ from repro.sim.telemetry.critpath import (
     span_class,
 )
 from repro.sim.telemetry.metrics import MetricsRegistry
-from repro.sim.telemetry.perfetto import chrome_trace, write_chrome_trace
+from repro.sim.telemetry.perfetto import write_chrome_trace
 from repro.sim.telemetry.spans import SpanTracker
 
 
@@ -75,10 +75,10 @@ class RequestSpans:
     shared work.
     """
 
-    def __init__(self, machine, metrics, max_spans, on_close=None):
+    def __init__(self, machine, metrics, on_close=None):
         self.machine = machine
         self.metrics = metrics
-        self.spans = SpanTracker(max_spans=max_spans, on_close=self._span_closed)
+        self.spans = SpanTracker(on_close=self._span_closed)
         self.attribution = AttributionRollup()
         self.on_close = on_close
         #: cid -> accumulated [cache, noc, dram] memory cycles, stashed
@@ -178,13 +178,11 @@ class RequestSpans:
 class Telemetry:
     """Metrics + spans for one machine, fed by its event bus."""
 
-    def __init__(self, machine, label=None, window=1024, max_spans=200_000):
+    def __init__(self, machine, label=None):
         self.machine = machine
         self.label = label
-        self.metrics = MetricsRegistry(default_window=window)
-        self._requests = RequestSpans(
-            machine, self.metrics, max_spans, on_close=self._span_closed
-        )
+        self.metrics = MetricsRegistry()
+        self._requests = RequestSpans(machine, self.metrics, on_close=self._span_closed)
         self.spans = self._requests.spans
         #: Per-request latency attribution (see critpath.COMPONENTS).
         self.attribution = self._requests.attribution
@@ -460,16 +458,6 @@ class Telemetry:
             "spans_orphaned": self.spans.orphans,
         }
 
-    def trace(self):
-        """The Chrome-trace dict for this run (finalizes first)."""
-        self.finalize()
-        return chrome_trace(
-            self.spans.finished,
-            metrics=self.metrics,
-            meta=self.meta(),
-            extra_events=critical_path_flows(self.spans.finished),
-        )
-
     def attribution_report(self):
         """The JSON-safe ``latency_attribution`` block (finalizes first)."""
         self.finalize()
@@ -529,18 +517,8 @@ class Telemetry:
 class TelemetrySession(MachineSession):
     """Attach telemetry to every machine built while installed."""
 
-    def __init__(self, window=1024, max_spans=200_000):
-        super().__init__()
-        self.window = window
-        self.max_spans = max_spans
-
     def attach(self, machine):
-        return Telemetry(
-            machine,
-            label=f"machine-{len(self.attached):02d}",
-            window=self.window,
-            max_spans=self.max_spans,
-        )
+        return Telemetry(machine, label=f"machine-{len(self.attached):02d}")
 
     # -- artifacts ------------------------------------------------------
     def save(self, outdir):

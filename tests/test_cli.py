@@ -45,20 +45,16 @@ class TestCli:
         assert "leviathan-repro table1" in text
 
     def test_failed_expectations_exit_nonzero(self, monkeypatch, capsys):
-        from repro.experiments import registry
         from repro.experiments.runner import Experiment
 
-        def failing():
+        def failing(pool):
             exp = Experiment(name="doomed", paper_reference="-")
             exp.expect("impossible", "greater", 0.0, 1.0)
             return exp
 
-        registry.register("doomed-test", failing, "always fails")
-        try:
-            assert cli.main(["doomed-test"]) == 1
-            assert cli.main(["doomed-test", "--no-check"]) == 0
-        finally:
-            registry._runners.pop("doomed-test", None)
+        monkeypatch.setitem(cli._EXPERIMENTS, "doomed-test", (failing, "always fails"))
+        assert cli.main(["doomed-test"]) == 1
+        assert cli.main(["doomed-test", "--no-check"]) == 0
 
     def test_speedup_chart_printed(self, capsys):
         assert cli.main(["ablation-compaction"]) == 0
@@ -151,67 +147,55 @@ class TestFaultsCli:
         with pytest.raises(FaultPlanError):
             cli.main(["ablation-mc-cache", "--no-check", "--faults", "meteor:1"])
 
-    def test_crashing_workload_exits_nonzero(self, tmp_path, capsys):
+    def test_crashing_workload_exits_nonzero(self, tmp_path, monkeypatch, capsys):
         import json
 
-        from repro.experiments import registry
-
-        def crashing():
+        def crashing(pool):
             raise RuntimeError("chaos took the machine down")
 
-        registry.register("crash-test", crashing, "always crashes")
-        try:
-            outdir = tmp_path / "crash"
-            assert (
-                cli.main(["crash-test", "--telemetry-out", str(outdir)]) == 1
-            )
-            err = capsys.readouterr().err
-            assert "CRASHED: crash-test" in err
-            assert "chaos took the machine down" in err
-            error_path = outdir / "crash-test" / "error.json"
-            assert error_path.exists()
-            saved = json.loads(error_path.read_text())
-            assert saved["error"] == "RuntimeError"
-            assert "chaos took the machine down" in saved["message"]
-            assert "Traceback" in saved["traceback"]
-        finally:
-            registry._runners.pop("crash-test", None)
+        monkeypatch.setitem(
+            cli._EXPERIMENTS, "crash-test", (crashing, "always crashes")
+        )
+        outdir = tmp_path / "crash"
+        assert cli.main(["crash-test", "--telemetry-out", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert "CRASHED: crash-test" in err
+        assert "chaos took the machine down" in err
+        error_path = outdir / "crash-test" / "error.json"
+        assert error_path.exists()
+        saved = json.loads(error_path.read_text())
+        assert saved["error"] == "RuntimeError"
+        assert "chaos took the machine down" in saved["message"]
+        assert "Traceback" in saved["traceback"]
 
-    def test_workload_key_error_is_a_crash(self, tmp_path, capsys):
+    def test_workload_key_error_is_a_crash(self, tmp_path, monkeypatch, capsys):
         import json
 
-        from repro.experiments import registry
-
-        def crashing():
+        def crashing(pool):
             return {}["missing"]
 
-        registry.register("crash-test-key", crashing, "raises KeyError")
-        try:
-            outdir = tmp_path / "crash"
-            assert (
-                cli.main(["crash-test-key", "--telemetry-out", str(outdir)]) == 1
-            )
-            err = capsys.readouterr().err
-            assert "ERROR: crash-test-key raised KeyError" in err
-            assert "CRASHED: crash-test-key" in err
-            saved = json.loads((outdir / "crash-test-key" / "error.json").read_text())
-            assert saved["error"] == "KeyError"
-        finally:
-            registry._runners.pop("crash-test-key", None)
+        monkeypatch.setitem(
+            cli._EXPERIMENTS, "crash-test-key", (crashing, "raises KeyError")
+        )
+        outdir = tmp_path / "crash"
+        assert cli.main(["crash-test-key", "--telemetry-out", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert "ERROR: crash-test-key raised KeyError" in err
+        assert "CRASHED: crash-test-key" in err
+        saved = json.loads((outdir / "crash-test-key" / "error.json").read_text())
+        assert saved["error"] == "KeyError"
 
-    def test_crash_does_not_leak_sessions(self, capsys):
-        from repro.experiments import registry
+    def test_crash_does_not_leak_sessions(self, monkeypatch, capsys):
         from repro.sim.faults import FaultSession
         from repro.sim.telemetry.session import TelemetrySession
 
-        def crashing():
+        def crashing(pool):
             raise ValueError("boom")
 
-        registry.register("crash-test-2", crashing, "always crashes")
-        try:
-            assert cli.main(["crash-test-2", "--faults", "seed:1"]) == 1
-            assert FaultSession.active() is None
-            assert TelemetrySession.active() is None
-        finally:
-            registry._runners.pop("crash-test-2", None)
+        monkeypatch.setitem(
+            cli._EXPERIMENTS, "crash-test-2", (crashing, "always crashes")
+        )
+        assert cli.main(["crash-test-2", "--faults", "seed:1"]) == 1
+        assert FaultSession.active() is None
+        assert TelemetrySession.active() is None
         capsys.readouterr()

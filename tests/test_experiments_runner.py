@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import Expectation, Experiment, ExperimentRegistry
+from repro.experiments.runner import Expectation, Experiment
 
 
 class TestExpectation:
@@ -76,25 +76,24 @@ class TestExperiment:
         report = exp.report()
         assert "demo" in report and "a note" in report and "[PASS]" in report
 
+    def test_markdown_shares_the_table_columns_and_format(self):
+        exp = self.make()
+        exp.add_row(variant="c", extra=1 / 3)
+        exp.expect("ok", "greater", 2.0, 1.0)
+        lines = exp.markdown().splitlines()
+        assert lines[0] == "## demo (Fig. 0)"
+        assert lines[2] == "| " + " | ".join(exp.columns) + " |"
+        assert exp.columns == ["variant", "speedup", "extra"]
+        assert lines[-3] == "| c |  | 0.333 |"
+        assert lines[-1] == "- [PASS] ok: measured 2.0 vs (1.0,)"
+
 
 class TestRegistry:
-    def test_register_and_run(self):
-        registry = ExperimentRegistry()
-        registry.register("demo", lambda: "ran", "a demo")
-        assert registry.run("demo") == "ran"
-        assert registry.names() == ["demo"]
-        assert registry.describe() == {"demo": "a demo"}
-
-    def test_unknown_name(self):
-        registry = ExperimentRegistry()
-        with pytest.raises(KeyError):
-            registry.run("nope")
+    """The CLI's experiment table is the one registry of tables and figures."""
 
     def test_cli_registry_contains_all_figures(self):
-        from repro.experiments import registry
-        import repro.experiments.cli  # noqa: F401  (registers on import)
+        from repro.experiments.cli import _EXPERIMENTS
 
-        names = registry.names()
         for expected in (
             "table1",
             "table4",
@@ -109,4 +108,13 @@ class TestRegistry:
             "fig24",
             "fig25",
         ):
-            assert expected in names
+            assert expected in _EXPERIMENTS
+
+    def test_every_runner_takes_pool(self):
+        import inspect
+
+        from repro.experiments.cli import _EXPERIMENTS
+
+        for name, (runner, description) in _EXPERIMENTS.items():
+            assert "pool" in inspect.signature(runner).parameters, name
+            assert description, name

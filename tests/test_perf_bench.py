@@ -49,8 +49,10 @@ class TestRegistry:
             registry.get("no.such.benchmark")
 
     def test_duplicate_registration_rejected(self):
+        from repro.perf.registry import register
+
         with pytest.raises(ValueError, match="already registered"):
-            registry.register(registry.get("noc.hop"))
+            register(registry.get("noc.hop"))
 
 
 class TestRunBenchmark:

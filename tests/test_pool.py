@@ -6,6 +6,7 @@ The determinism test is the load-bearing one: a parallel sweep
 """
 
 import json
+import os
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.experiments.pool import (
     ExperimentPool,
     IncompleteSweepError,
     RunSpec,
+    cache_entry_path,
     decode_result,
     encode_result,
     spec_hash,
@@ -340,7 +342,7 @@ class TestFailurePolicy:
         spec = RunSpec(_COMPACTION, {"bogus_kwarg": 1}, "bad")
         pool.run([spec])
         digest = spec_hash(spec)
-        assert not (cache / f"{digest}.json").exists()
+        assert not os.path.exists(cache_entry_path(str(cache), digest))
         # A later pool re-executes it rather than serving the failure.
         retry = ExperimentPool(jobs=1, cache_dir=str(cache))
         assert retry.run([spec])[0]["status"] == "error"

@@ -1,6 +1,7 @@
 """Unit tests for the Leviathan runtime facade and area model."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.area import AreaModel
 from repro.core.runtime import Leviathan
@@ -82,6 +83,83 @@ class TestRuntime:
 
     def test_repr(self, runtime):
         assert "engines" in repr(runtime)
+
+
+class _Interval:
+    """A stand-in morph: only the fields the runtime's registry reads."""
+
+    def __init__(self, base, bound, level):
+        self.base, self.bound, self.level = base, bound, level
+        self.name = f"[{base:#x}, {bound:#x}) @ {level}"
+        self.registered = False
+
+
+def _morph_layout(line_size):
+    """Non-overlapping line ranges with sub-line byte edges, plus a probe."""
+    interval = st.tuples(
+        st.integers(0, 4),  # free lines before the range
+        st.integers(1, 5),  # lines in the range
+        st.integers(0, line_size - 1),  # byte offset of its base
+        st.integers(1, line_size),  # bytes used of its last line
+        st.sampled_from(["l2", "llc"]),
+    )
+    probe = st.tuples(st.integers(0, 40), st.integers(1, 6))
+    return st.lists(interval, max_size=8), probe
+
+
+class TestMorphLookup:
+    """find_morph, morph_level and register_morph against a per-line oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_lookup_agrees_with_a_linear_scan(self, data):
+        machine = Machine(small_config())
+        runtime = Leviathan(machine)
+        line_size = machine.config.line_size
+        layout, probe = _morph_layout(line_size)
+        morphs, cursor = [], 0
+        for gap, lines, head, tail, level in data.draw(layout):
+            base_line = cursor + gap
+            cursor = base_line + lines
+            base = base_line * line_size + (head if lines > 1 else 0)
+            bound = (cursor - 1) * line_size + tail
+            morphs.append(_Interval(base, bound, level))
+        for morph in data.draw(st.permutations(morphs)):
+            runtime.register_morph(morph)
+        gone = []
+        if morphs:
+            gone = data.draw(st.lists(st.sampled_from(morphs), unique=True))
+        for morph in gone:
+            runtime.unregister_morph(morph)
+        live = [m for m in morphs if m not in gone]
+
+        def lines_of(morph):
+            return range(
+                morph.base // line_size,
+                (morph.bound + line_size - 1) // line_size,
+            )
+
+        def scan(line, level=None):
+            for morph in live:
+                if line in lines_of(morph) and level in (None, morph.level):
+                    return morph
+            return None
+
+        for line in range(cursor + 2):
+            owner = scan(line)
+            assert runtime.hooks.morph_level(line) == (owner and owner.level)
+            for level in ("l2", "llc"):
+                assert runtime.find_morph(line, level) is scan(line, level)
+
+        # A new range is refused exactly when it shares a line with a live one.
+        start, length = data.draw(probe)
+        extra = _Interval(start * line_size, (start + length) * line_size, "llc")
+        if any(set(lines_of(extra)) & set(lines_of(m)) for m in live):
+            with pytest.raises(ValueError, match="overlaps"):
+                runtime.register_morph(extra)
+        else:
+            runtime.register_morph(extra)
+            assert runtime.find_morph(start, "llc") is extra
 
 
 class TestAreaModel:

@@ -24,6 +24,7 @@ from repro.experiments.pool import (
     IncompleteSweepError,
     RunSpec,
     SweepInterrupted,
+    cache_entry_path,
     cache_entry_problem,
     compute_result_checksum,
     spec_hash,
@@ -295,7 +296,7 @@ class TestCacheIntegrity:
 
     def test_checksum_round_trip(self, tmp_path):
         cache, spec, digest = self._seed_cache(tmp_path)
-        with open(os.path.join(cache, digest + ".json")) as handle:
+        with open(cache_entry_path(cache, digest)) as handle:
             payload = json.load(handle)
         assert payload["checksum"] == compute_result_checksum(payload["result"])
         assert cache_entry_problem(payload) is None
@@ -305,7 +306,7 @@ class TestCacheIntegrity:
 
     def test_tampered_entry_quarantined_and_reexecuted(self, tmp_path):
         cache, spec, digest = self._seed_cache(tmp_path)
-        path = os.path.join(cache, digest + ".json")
+        path = cache_entry_path(cache, digest)
         with open(path) as handle:
             payload = json.load(handle)
         payload["result"]["value"]["tag"] = "bitrot"  # checksum now lies
@@ -323,7 +324,7 @@ class TestCacheIntegrity:
 
     def test_truncated_entry_quarantined(self, tmp_path):
         cache, spec, digest = self._seed_cache(tmp_path)
-        path = os.path.join(cache, digest + ".json")
+        path = cache_entry_path(cache, digest)
         with open(path) as handle:
             torn = handle.read()[: len(handle.read()) // 2 or 40]
         with open(path, "w") as handle:
@@ -334,21 +335,44 @@ class TestCacheIntegrity:
         assert pool.supervision["quarantined"] == 1
         assert os.path.exists(os.path.join(cache, "quarantine", digest + ".json"))
 
-    def test_legacy_entry_without_checksum_served(self, tmp_path):
+    def test_entry_without_checksum_quarantined(self, tmp_path):
         cache, spec, digest = self._seed_cache(tmp_path)
-        path = os.path.join(cache, digest + ".json")
+        path = cache_entry_path(cache, digest)
         with open(path) as handle:
             payload = json.load(handle)
-        del payload["checksum"]  # an entry from before PR 8
+        del payload["checksum"]  # nothing to verify the result against
         with open(path, "w") as handle:
             json.dump(payload, handle)
         pool = ExperimentPool(jobs=1, cache_dir=cache)
+        [outcome] = pool.run([spec])
+        assert outcome["result"]["value"] == {"tag": "c"}
+        report = pool.consume_report()
+        assert report.get("executed") == 1 and not report.get("cached")
+        assert pool.supervision["quarantined"] == 1
+        assert os.path.exists(os.path.join(cache, "quarantine", digest + ".json"))
+
+    def test_changed_code_digest_misses_the_cache(self, tmp_path, monkeypatch):
+        from repro.experiments import pool as pool_module
+
+        cache, spec, digest = self._seed_cache(tmp_path)
+        old_entry = cache_entry_path(cache, digest)
+        monkeypatch.setattr(pool_module, "code_digest", lambda: "0" * 64)
+        assert spec_hash(spec) == digest  # the run keeps its name
+        pool = ExperimentPool(jobs=1, cache_dir=cache)
         pool.run([spec])
-        assert pool.consume_report().get("cached") == 1
+        report = pool.consume_report()
+        assert report.get("executed") == 1 and not report.get("cached")
         assert pool.supervision["quarantined"] == 0
+        # Each code generation has its own directory; the old one is kept.
+        new_entry = cache_entry_path(cache, digest)
+        assert new_entry == os.path.join(cache, "0" * 12, digest + ".json")
+        assert os.path.exists(new_entry) and os.path.exists(old_entry)
 
     def test_cache_entry_problem_reports_missing_result(self):
         assert "no result" in cache_entry_problem({"status": "ok"})
+        assert "no checksum" in cache_entry_problem(
+            {"result": {"kind": "value", "value": 1}}
+        )
         assert "mismatch" in cache_entry_problem(
             {"result": {"kind": "value", "value": 1}, "checksum": "sha256:beef"}
         )

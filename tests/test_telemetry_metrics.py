@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.telemetry.metrics import LogHistogram, MetricsRegistry, TimeSeries
 
@@ -68,6 +69,25 @@ class TestLogHistogram:
 
     def test_empty_percentile(self):
         assert LogHistogram().percentile(95) == 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 10**7).map(float), max_size=25), max_size=5
+        )
+    )
+    def test_merge_equals_histogram_of_concatenated_samples(self, parts):
+        # Integral cycle counts keep every partial sum exact, so the
+        # merged and the direct histograms must agree to the bit.
+        merged = LogHistogram()
+        whole = LogHistogram()
+        for part in parts:
+            hist = LogHistogram()
+            for value in part:
+                hist.observe(value)
+                whole.observe(value)
+            merged.merge(json.loads(json.dumps(hist.snapshot())))
+        assert merged.snapshot() == whole.snapshot()
 
 
 class TestTimeSeries:
