@@ -1,4 +1,4 @@
-"""``leviathan explain``: why is this run slow?
+"""``leviathan-repro explain``: why is this run slow?
 
 Turns a run's telemetry artifacts (or a cached result entry) into a
 per-request-class critical-path waterfall -- every request cycle
@@ -8,31 +8,38 @@ attributed to one taxonomy component (see
 to those components. This is the tool that converts a bench REGRESSION
 flag or a serve-* speedup number into a one-screen causal story.
 
-Three input shapes are accepted:
+Nothing is attributed here: the live session attributed every request
+as it closed and wrote the rollup to each machine's
+``attribution.json`` (see :mod:`repro.sim.telemetry.critpath`). Three
+input shapes are accepted:
 
-- a **machine directory** (``.../machine-00`` with ``trace.json``):
-  spans are rebuilt from the trace and re-attributed offline --
-  bit-identical to the attribution the live session computed, because
-  both run the same pure function over the same span data;
-- a **run/sweep directory**: every machine directory underneath is
-  aggregated into one report;
+- a **machine directory** (``.../machine-00``): the classes of its
+  ``attribution.json`` are reported exactly as the session wrote them;
+- a **run/sweep directory**: the ``attribution.json`` of every machine
+  directory underneath is merged per request class by
+  :func:`~repro.experiments.telemetry_report.aggregate_attribution`,
+  the merge the sweep dashboard uses; a missing or torn file is named
+  in ``problems`` and the other machines are still reported;
 - a **cache entry** (``<hash>.json`` written by the experiment pool):
   the flat ``attribution.*`` stats merged into the cached
-  ``RunResult`` are unflattened back into a waterfall (no trace
-  needed).
+  ``RunResult`` are unflattened back into a waterfall.
+
+The waterfall table is
+:func:`~repro.experiments.telemetry_report.render_waterfall`, shared
+with the sweep dashboard.
 """
 
 import json
 import math
 import os
 
-from repro.experiments.telemetry_report import _read_json, find_runs
-from repro.sim.telemetry.critpath import (
-    ATTRIBUTED,
-    COMPONENTS,
-    AttributionRollup,
-    spans_from_trace,
+from repro.experiments.telemetry_report import (
+    _read_json,
+    aggregate_attribution,
+    find_runs,
+    render_waterfall,
 )
+from repro.sim.telemetry.critpath import ATTRIBUTED, COMPONENTS
 
 #: Waterfall fields reported per component.
 WATERFALL_FIELDS = ("total", "share", "p50", "p95", "p99")
@@ -53,44 +60,29 @@ def analyze(target):
 
 
 def analyze_run_dir(target):
-    """Rebuild spans from every trace under ``target`` and attribute them."""
+    """Merge the ``attribution.json`` of every machine under ``target``."""
     machine_dirs = find_runs(target)
-    if not machine_dirs and os.path.isfile(os.path.join(target, "trace.json")):
+    if not machine_dirs and os.path.isfile(
+        os.path.join(target, "attribution.json")
+    ):
         machine_dirs = [target]
-    machines = []
-    machine_cycles = 0.0
-    orphaned = unclosed = dropped = 0
-    problems = []
-    rollup = AttributionRollup()
-    for machine_dir in machine_dirs:
-        trace, problem = _read_json(os.path.join(machine_dir, "trace.json"))
-        if trace is None:
-            problems.append(f"{machine_dir}: {problem}")
-            continue
-        for span in spans_from_trace(trace):
-            if span.cat in ("invoke", "stream"):
-                rollup.observe_span(span)
-        meta = (trace.get("otherData") or {})
-        machines.append(machine_dir)
-        machine_cycles += float(meta.get("cycles") or 0.0)
-        orphaned += int(meta.get("spans_orphaned") or 0)
-        unclosed += int(meta.get("spans_unclosed") or 0)
-        dropped += int(meta.get("spans_dropped") or 0)
-    snapshot = rollup.snapshot()
+    merged = aggregate_attribution(machine_dirs)
+    meta = merged["meta"]
+    classes = merged["classes"]
     return {
         "kind": "leviathan-explain",
         "source": target,
         "source_kind": "run-dir",
-        "machines": machines,
-        "machine_cycles": machine_cycles,
-        "requests": sum(e["count"] for e in snapshot.values()),
-        "request_cycles": math.fsum(e["cycles"] for e in snapshot.values()),
-        "coverage": rollup.coverage() if rollup else 1.0,
-        "spans_orphaned": orphaned,
-        "spans_unclosed": unclosed,
-        "spans_dropped": dropped,
-        "problems": problems,
-        "classes": snapshot,
+        "machines": merged["machines"],
+        "machine_cycles": float(meta["cycles"]),
+        "requests": sum(e["count"] for e in classes.values()),
+        "request_cycles": math.fsum(e["cycles"] for e in classes.values()),
+        "coverage": _weighted_coverage(classes),
+        "spans_orphaned": meta["spans_orphaned"],
+        "spans_unclosed": meta["spans_unclosed"],
+        "spans_dropped": meta["spans_dropped"],
+        "problems": merged["problems"],
+        "classes": classes,
     }
 
 
@@ -178,12 +170,6 @@ def _weighted_coverage(classes):
 # ----------------------------------------------------------------------
 # rendering
 # ----------------------------------------------------------------------
-def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:,.1f}" if abs(value) >= 10 else f"{value:.2f}"
-    return str(value)
-
-
 def render_markdown(report):
     """The one-screen waterfall for one :func:`analyze` report."""
     lines = [
@@ -204,36 +190,7 @@ def render_markdown(report):
     ]
     for problem in report.get("problems", []):
         lines.append(f"- !! {problem}")
-    for cls in sorted(report["classes"]):
-        entry = report["classes"][cls]
-        lines += [
-            "",
-            f"## {cls}  (n={entry['count']}, "
-            f"coverage {entry.get('coverage', 1.0) * 100:.2f}%)",
-            "",
-            "| component | cycles | share | p50 | p95 | p99 |",
-            "|---|---|---|---|---|---|",
-        ]
-        for component in COMPONENTS:
-            comp = entry["components"].get(component)
-            # Sub-cycle totals are float residue of the exact
-            # partition, not a real contribution -- drop the row.
-            if comp is None or comp.get("total", 0.0) < 0.5:
-                continue
-            lines.append(
-                f"| {component} | {comp['total']:,.0f} "
-                f"| {comp.get('share', 0.0) * 100:.1f}% "
-                f"| {_fmt(comp.get('p50', 0.0))} "
-                f"| {_fmt(comp.get('p95', 0.0))} "
-                f"| {_fmt(comp.get('p99', 0.0))} |"
-            )
-        latency = entry.get("latency")
-        if latency and latency.get("count"):
-            lines.append(
-                f"\nend-to-end: n={latency['count']:.0f} "
-                f"mean={latency['mean']:.1f} p50<={latency['p50']:.0f} "
-                f"p95<={latency['p95']:.0f} p99<={latency['p99']:.0f}"
-            )
+    lines += render_waterfall(report["classes"])
     if not report["classes"]:
         lines += ["", "_No request spans recorded (baseline/core-only run?)._"]
     lines.append("")

@@ -86,7 +86,7 @@ def run_serve_kv(params=None, pool=None):
         study["leviathan"].stat("request.get.p99"),
     )
     # Fault-free runs must attribute essentially every request cycle to
-    # a named critical-path component (`leviathan explain` honesty bar).
+    # a named critical-path component (`leviathan-repro explain` honesty bar).
     for cls in ("get", "put", "scan"):
         exp.expect(
             f"{cls}: attribution coverage >= 99%",

@@ -4,12 +4,20 @@
 directories (any directory containing both ``trace.json`` and
 ``metrics.json``), re-validates every trace, and prints a digest of
 the headline metrics: span counts, invoke-latency percentiles, NACK
-and stall totals, and which windowed time series were captured.
+and stall totals, and which windowed time series were captured. It is
+the one report that reads a ``trace.json``.
+
+The sweep dashboard (:func:`write_dashboard`) aggregates the same run
+directories from their ``metrics.json`` and ``attribution.json``; its
+attribution merge (:func:`aggregate_attribution`) and waterfall table
+(:func:`render_waterfall`) are also what ``leviathan-repro explain``
+reports.
 """
 
 import json
 import os
 
+from repro.sim.telemetry.critpath import COMPONENTS
 from repro.sim.telemetry.metrics import LogHistogram
 from repro.sim.telemetry.perfetto import load_and_validate
 
@@ -125,7 +133,7 @@ def render(summary):
         lines.append(
             f"   attribution coverage: "
             f"{summary['attribution_coverage'] * 100:.2f}% "
-            f"(run `leviathan explain {summary['dir']}` for the waterfall)"
+            f"(run `leviathan-repro explain {summary['dir']}` for the waterfall)"
         )
     for problem in summary["trace_problems"][:5]:
         lines.append(f"   !! {problem}")
@@ -151,38 +159,61 @@ def render(summary):
 # ----------------------------------------------------------------------
 # the sweep dashboard: one digest across every run of a sweep
 # ----------------------------------------------------------------------
-def aggregate_attribution(root):
-    """Merge every ``attribution.json`` under ``root`` per request class.
+#: ``attribution.json`` meta fields that add up across machines.
+_META_TOTALS = ("cycles", "spans_orphaned", "spans_unclosed", "spans_dropped")
 
-    Per-component histograms merge bucket-wise (the same scheme the
-    latency histograms use), so the reported waterfall percentiles are
-    sweep-wide; coverage is cycle-weighted across machines. Returns
-    ``{}`` when no run captured attribution.
+
+def aggregate_attribution(run_dirs):
+    """Merge the ``attribution.json`` of every run in ``run_dirs``.
+
+    Per request class, counts and cycles add up; the end-to-end
+    ``latency`` histogram and each component's histogram merge
+    bucket-wise (the same scheme the latency histograms use), so the
+    waterfall percentiles are sweep-wide; coverage is cycle-weighted
+    across machines. The cycle and span counts of each file's ``meta``
+    add up too. A missing or torn file is named in ``problems`` and
+    the other runs are still merged. Returns ``{"machines", "problems",
+    "meta", "classes"}``; ``classes`` is ``{}`` when no run captured
+    attribution.
     """
+    machines = []
+    problems = []
+    meta = dict.fromkeys(_META_TOTALS, 0)
     merged = {}
-    for run_dir in find_runs(root):
-        payload, _problem = _read_json(
-            os.path.join(run_dir, "attribution.json")
-        )
-        if not payload:
+    for run_dir in run_dirs:
+        payload, problem = _read_json(os.path.join(run_dir, "attribution.json"))
+        if payload is None:
+            problems.append(f"{run_dir}: {problem}")
             continue
+        machines.append(run_dir)
+        run_meta = payload.get("meta") or {}
+        for field in _META_TOTALS:
+            meta[field] += run_meta.get(field) or 0
         for cls, entry in (payload.get("classes") or {}).items():
             dest = merged.setdefault(
                 cls,
-                {"count": 0, "cycles": 0.0, "residue": 0.0, "components": {}},
+                {
+                    "count": 0,
+                    "cycles": 0.0,
+                    "residue": 0.0,
+                    "latency": LogHistogram(),
+                    "components": {},
+                },
             )
             dest["count"] += entry.get("count", 0)
             cycles = entry.get("cycles", 0.0)
             dest["cycles"] += cycles
             dest["residue"] += (1.0 - entry.get("coverage", 1.0)) * cycles
+            dest["latency"].merge(entry.get("latency") or {})
             for component, comp in (entry.get("components") or {}).items():
                 slot = dest["components"].setdefault(component, [0.0, LogHistogram()])
                 slot[0] += comp.get("total", 0.0)
                 slot[1].merge(comp)
     for dest in merged.values():
         cycles = dest["cycles"]
-        dest["coverage"] = 1.0 - dest["residue"] / cycles if cycles else 1.0
-        del dest["residue"]
+        residue = dest.pop("residue")
+        dest["coverage"] = 1.0 - residue / cycles if cycles else 1.0
+        dest["latency"] = dest["latency"].snapshot()
         dest["components"] = {
             component: dict(
                 hist.snapshot(),
@@ -191,18 +222,74 @@ def aggregate_attribution(root):
             )
             for component, (total, hist) in dest["components"].items()
         }
-    return merged
+    return {
+        "machines": machines,
+        "problems": problems,
+        "meta": meta,
+        "classes": merged,
+    }
+
+
+def _fmt(value):
+    if isinstance(value, float):
+        return f"{value:,.1f}" if abs(value) >= 10 else f"{value:.2f}"
+    return str(value)
+
+
+def render_waterfall(classes):
+    """Markdown lines of one waterfall table per request class.
+
+    ``classes`` is the ``classes`` block of :func:`aggregate_attribution`
+    (or of a cached result unflattened by ``explain``); components are
+    listed in :data:`~repro.sim.telemetry.critpath.COMPONENTS` order.
+    """
+    lines = []
+    for cls in sorted(classes):
+        entry = classes[cls]
+        lines += [
+            "",
+            f"## {cls}  (n={entry['count']}, "
+            f"coverage {entry.get('coverage', 1.0) * 100:.2f}%)",
+            "",
+            "| component | cycles | share | p50 | p95 | p99 |",
+            "|---|---|---|---|---|---|",
+        ]
+        for component in COMPONENTS:
+            comp = entry["components"].get(component)
+            # Sub-cycle totals are float residue of the exact
+            # partition, not a real contribution -- drop the row.
+            if comp is None or comp.get("total", 0.0) < 0.5:
+                continue
+            lines.append(
+                f"| {component} | {comp['total']:,.0f} "
+                f"| {comp.get('share', 0.0) * 100:.1f}% "
+                f"| {_fmt(comp.get('p50', 0.0))} "
+                f"| {_fmt(comp.get('p95', 0.0))} "
+                f"| {_fmt(comp.get('p99', 0.0))} |"
+            )
+        latency = entry.get("latency")
+        if latency and latency.get("count"):
+            lines.append(
+                f"\nend-to-end: n={latency['count']:.0f} "
+                f"mean={latency['mean']:.1f} p50<={latency['p50']:.0f} "
+                f"p95<={latency['p95']:.0f} p99<={latency['p99']:.0f}"
+            )
+    return lines
 
 
 def aggregate_sweep(root):
     """Cross-run aggregation of one sweep's telemetry artifacts.
 
-    Counters are summed across runs (and grouped by subsystem -- the
-    dotted prefix of the family name); histograms merge their log2
+    One walk finds the runs, and each run's ``metrics.json`` is read
+    once. Counters are summed across runs (and grouped by subsystem --
+    the dotted prefix of the family name); histograms merge their log2
     buckets, so the tail percentiles are sweep-wide, not per-run; fault
     injections and retries come from the telemetry counters plus each
-    run's ``fault_report.json`` when one was armed. Partially-written
-    runs degrade per :func:`summarize_run` and are tallied as problems.
+    run's ``fault_report.json`` when one was armed; the attribution
+    waterfall merges each run's ``attribution.json``
+    (:func:`aggregate_attribution`). Traces are not read: validating
+    them is the ``telemetry`` report's job. A run whose
+    ``metrics.json`` is torn or malformed is tallied as a problem.
     """
     runs = find_runs(root)
     counters = {}
@@ -215,18 +302,19 @@ def aggregate_sweep(root):
     runs_with_problems = 0
     spans_orphaned = 0
     for run_dir in runs:
-        summary = summarize_run(run_dir)
-        if summary["trace_problems"]:
-            runs_with_problems += 1
-        if summary["cycles"] is not None:
-            cycles.append(summary["cycles"])
-        spans_orphaned += summary["spans_orphaned"]
         metrics, _problem = _read_json(os.path.join(run_dir, "metrics.json"))
-        metrics = metrics or {}
+        if metrics is None:
+            runs_with_problems += 1
+            metrics = {}
+        meta = metrics.get("meta") or {}
+        if meta.get("cycles") is not None:
+            cycles.append(meta["cycles"])
+        spans_orphaned += meta.get("spans_orphaned", 0)
+        run_counters = metrics.get("counters") or {}
         nacks += count_with_label(
-            metrics.get("counters") or {}, "engine.arrivals", 'outcome="nacked"'
+            run_counters, "engine.arrivals", 'outcome="nacked"'
         )
-        for key, value in (metrics.get("counters") or {}).items():
+        for key, value in run_counters.items():
             base = key.partition("{")[0]
             counters[base] = counters.get(base, 0) + value
             prefix = base.split(".", 1)[0]
@@ -270,7 +358,7 @@ def aggregate_sweep(root):
         "subsystems": dict(sorted(subsystems.items())),
         "histograms": dict(sorted(histograms.items())),
         "requests": dict(sorted(requests.items())),
-        "attribution": aggregate_attribution(root),
+        "attribution": aggregate_attribution(runs)["classes"],
         "spans_orphaned": spans_orphaned,
         "faults_injected": faults_injected,
         "retries": counters.get("invoke.retries_observed", 0),
@@ -347,40 +435,14 @@ def render_dashboard(agg):
         lines += [
             "",
             "## Latency attribution waterfall (critical-path cycles per class)",
-            "",
         ]
         if agg.get("spans_orphaned"):
-            lines.append(
+            lines += [
+                "",
                 f"orphaned span segments (excluded from attribution): "
-                f"**{agg['spans_orphaned']}**"
-            )
-            lines.append("")
-        lines += [
-            "| class | component | cycles | share | p50 | p95 | p99 |",
-            "|---|---|---|---|---|---|---|",
-        ]
-        for cls in sorted(attribution):
-            entry = attribution[cls]
-            if not entry["count"]:
-                continue
-            for component in sorted(
-                entry["components"],
-                key=lambda c: -entry["components"][c]["total"],
-            ):
-                comp = entry["components"][component]
-                if not comp["total"]:
-                    continue
-                lines.append(
-                    f"| {cls} | {component} | {comp['total']:.0f} "
-                    f"| {comp['share'] * 100:.1f}% | {comp['p50']:.0f} "
-                    f"| {comp['p95']:.0f} | {comp['p99']:.0f} |"
-                )
-        coverages = ", ".join(
-            f"{cls} {entry['coverage'] * 100:.2f}%"
-            for cls, entry in sorted(attribution.items())
-            if entry["count"]
-        )
-        lines += ["", f"attribution coverage: {coverages}"]
+                f"**{agg['spans_orphaned']}**",
+            ]
+        lines += render_waterfall(attribution)
     lines += [
         "",
         "## Per-subsystem counter totals",

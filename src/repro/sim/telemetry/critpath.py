@@ -32,12 +32,13 @@ component           meaning
 The partition is exact by construction: estimated sub-components are
 scaled to fit their measured envelope and the final element of every
 split is computed by subtraction, so ``sum(components) == duration``
-bit-for-bit up to float addition order. Attribution is pure over
-span-shaped data: the same function runs online (live
-:class:`~repro.sim.telemetry.spans.Span` objects at close time) and
-offline (spans rebuilt from a ``trace.json`` via
-:func:`spans_from_trace`), which is what keeps ``leviathan explain``
-on a run directory bit-identical with the in-process rollup.
+bit-for-bit up to float addition order. Attribution runs once, live:
+each span is attributed as it closes and folded into an
+:class:`AttributionRollup`, whose snapshot is each machine's
+``attribution.json`` and the ``attribution.*`` fields of
+``RunResult.stats``. ``leviathan-repro explain`` and the sweep
+dashboard merge those files; nothing re-derives attribution from a
+``trace.json``.
 """
 
 import math
@@ -159,16 +160,13 @@ class AccessCostModel:
         return tuple(fitted)
 
 
-def span_class(span, request_classes=None):
+def span_class(span, request_classes):
     """The rollup key for one span.
 
     Serving workloads declare request classes; anything undeclared
     falls back to the span's action/stream name so macro figures
     (fig18 etc.) still get a per-action waterfall.
     """
-    declared = span.args.get("request_class")
-    if declared is not None:
-        return declared
     if span.cat == "invoke":
         key = span.name.partition(":")[2]
     elif span.cat == "stream":
@@ -260,10 +258,9 @@ def attribute_span(span):
 class AttributionRollup:
     """Per-request-class accumulation of span attributions.
 
-    Feeds both the live telemetry (``latency_attribution`` block in
-    metrics / RunResult.stats) and the offline ``leviathan explain``
-    report; the two agree bit-for-bit because both run
-    :func:`attribute_span` over the same span data.
+    The one record of where request cycles went: its :meth:`snapshot`
+    is written to ``attribution.json`` and flattened into
+    ``RunResult.stats``, and every report reads it from there.
     """
 
     def __init__(self):
@@ -296,7 +293,7 @@ class AttributionRollup:
             if value > 0.0:
                 hists[name].observe(value)
 
-    def observe_span(self, span, request_classes=None):
+    def observe_span(self, span, request_classes):
         comps = attribute_span(span)
         self.observe(
             span_class(span, request_classes), comps, span.duration or 0.0
@@ -349,70 +346,6 @@ class AttributionRollup:
                 "components": comps,
             }
         return out
-
-
-def rollup_spans(spans, request_classes=None):
-    """Attribute a span list (live or rebuilt) into a fresh rollup.
-
-    Mirrors the live session's policy exactly: only closed invoke and
-    stream spans are requests (stream-wait episodes are *inside* a
-    stream entry's latency, counting them would double-bill).
-    """
-    rollup = AttributionRollup()
-    for span in spans:
-        if span.end is None or span.cat not in ("invoke", "stream"):
-            continue
-        rollup.observe_span(span, request_classes)
-    return rollup
-
-
-# ----------------------------------------------------------------------
-# offline reconstruction (trace.json -> spans)
-# ----------------------------------------------------------------------
-def spans_from_trace(trace):
-    """Rebuild :class:`Span` objects from a Chrome-trace dict.
-
-    Inverse of the Perfetto export for everything attribution needs:
-    async b/e pairs grouped per (cat, id) yield the parent interval,
-    its args (cid, mem_cycles, request_class) and the nested phases.
-    Counter, metadata, and flow events are ignored.
-    """
-    from repro.sim.telemetry.spans import Span
-
-    stacks = {}
-    spans = []
-    for event in trace.get("traceEvents", ()):
-        ph = event.get("ph")
-        if ph not in ("b", "e"):
-            continue
-        key = (event.get("cat"), event.get("id"))
-        stack = stacks.setdefault(key, [])
-        if ph == "b":
-            stack.append(event)
-            continue
-        if not stack:
-            continue  # torn trace: end without begin
-        begin = stack.pop()
-        if stack:
-            # A nested pair is one phase of the span still on the stack.
-            root = stack[0]
-            root.setdefault("_phases", []).append(
-                [begin["name"], begin["ts"], event["ts"]]
-            )
-            continue
-        args = dict(begin.get("args") or {})
-        span = Span(
-            begin["name"],
-            begin.get("cat"),
-            args.pop("cid", None),
-            begin.get("pid"),
-            begin["ts"],
-            args=args,
-        )
-        span.end = event["ts"]
-        span.phases = begin.pop("_phases", [])
-        spans.append(span)
-    return spans
 
 
 # ----------------------------------------------------------------------

@@ -54,7 +54,6 @@ from repro.sim.telemetry.critpath import (
     AccessCostModel,
     AttributionRollup,
     critical_path_flows,
-    span_class,
 )
 from repro.sim.telemetry.metrics import MetricsRegistry
 from repro.sim.telemetry.perfetto import write_chrome_trace
@@ -145,13 +144,7 @@ class RequestSpans:
         elif span.cat == "stream":
             self._observe_request(span.name.split("[", 1)[0], span.duration)
         if span.cat in ("invoke", "stream"):
-            # Stamp the resolved class onto the span so offline
-            # attribution (explain over trace.json) lands every span in
-            # the same bucket the live rollup used.
-            span.args["request_class"] = span_class(
-                span, self.machine.request_classes
-            )
-            self.attribution.observe_span(span)
+            self.attribution.observe_span(span, self.machine.request_classes)
         if self.on_close is not None:
             self.on_close(span)
 
@@ -486,29 +479,6 @@ class Telemetry:
         with open(os.path.join(outdir, "attribution.json"), "w") as handle:
             json.dump(self.attribution_report(), handle, indent=2, sort_keys=True)
         return outdir
-
-    def summary(self):
-        """A short human-readable digest of the run's telemetry."""
-        self.finalize()
-        lines = [
-            f"cycles {self.machine.scheduler.now:.0f}  spans {len(self.spans.finished)}"
-            f"  unclosed {self.spans.unclosed}  dropped {self.spans.dropped}"
-        ]
-        latency = self.metrics.value("invoke.latency")
-        if latency and latency["count"]:
-            lines.append(
-                f"invoke.latency: n={latency['count']} mean={latency['mean']:.0f}"
-                f" p50<={latency['p50']:.0f} p95<={latency['p95']:.0f}"
-                f" max={latency['max']:.0f}"
-            )
-        for name in ("invoke.execute_cycles", "invoke.nack_wait", "stream.entry_latency"):
-            for key, hist in sorted(self.metrics.series(name).items()):
-                if hist.count:
-                    label = name + ("" if not key else str(dict(key)))
-                    lines.append(
-                        f"{label}: n={hist.count} mean={hist.mean:.0f} max={hist.max:.0f}"
-                    )
-        return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

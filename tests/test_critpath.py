@@ -8,15 +8,19 @@ The contract of the critical-path attribution layer:
   components;
 - attribution is a pure observer: macro figures (fig18 hash table)
   are bit-identical with and without a telemetry session attached;
-- offline attribution rebuilt from ``trace.json`` agrees with the
-  rollup the live session computed;
+- ``leviathan-repro explain`` and the sweep dashboard merge the
+  machines' ``attribution.json`` (the live rollup) with one function,
+  and never read a ``trace.json``;
 - orphaned lifecycle events (an end without a beginning) are counted,
   never silently folded into a span;
-- ``leviathan explain`` renders waterfalls for run dirs and cached
-  results, and ``--diff`` attributes a latency delta.
+- ``leviathan-repro explain`` renders waterfalls for run dirs and
+  cached results, and ``--diff`` attributes a latency delta.
 """
 
 import json
+import math
+import shutil
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -41,8 +45,6 @@ from repro.sim.telemetry.critpath import (
     COMPONENTS,
     _fit_exact,
     attribute_span,
-    rollup_spans,
-    spans_from_trace,
 )
 from repro.sim.telemetry.spans import SpanTracker
 from repro.workloads import hashtable
@@ -179,15 +181,6 @@ def _approx_equal(a, b, path=""):
 
 
 class TestOfflineAgreement:
-    def test_trace_rebuild_matches_live_rollup(self, tmp_path):
-        telemetry = _kv_session()
-        outdir = tmp_path / "machine-00"
-        telemetry.save(str(outdir))
-        with open(outdir / "trace.json") as handle:
-            trace = json.load(handle)
-        rebuilt = rollup_spans(spans_from_trace(trace))
-        _approx_equal(telemetry.attribution.snapshot(), rebuilt.snapshot())
-
     def test_attribution_json_round_trips(self, tmp_path):
         telemetry = _kv_session()
         outdir = tmp_path / "machine-00"
@@ -435,4 +428,119 @@ class TestDashboardWaterfall:
             )
         text = render_dashboard(agg)
         assert "Latency attribution waterfall" in text
-        assert "| class | component | cycles | share | p50 | p95 | p99 |" in text
+        assert "| component | cycles | share | p50 | p95 | p99 |" in text
+        assert "| class | component |" not in text
+        # The same per-class tables explain prints for the same runs.
+        report = explain_mod.render_markdown(
+            explain_mod.analyze(str(kv_artifacts["root"]))
+        )
+        waterfall = report[report.index("\n## get") :].rstrip("\n")
+        assert waterfall in text
+        assert "end-to-end: n=" in waterfall
+
+
+@pytest.fixture(scope="module")
+def kv_pair(tmp_path_factory):
+    """A root holding two saved kvserve machines (different seeds)."""
+    root = tmp_path_factory.mktemp("pair")
+    with TelemetrySession() as session:
+        kvserve.run_leviathan(KV_SMALL, n_tiles=4)
+        kvserve.run_leviathan(dict(KV_SMALL, seed=6), n_tiles=4)
+    session.save(str(root))
+    return root
+
+
+def _percentile(buckets, p):
+    """Upper bound of the bucket holding the ``p``-th percentile rank."""
+    count = sum(buckets.values())
+    if not count:
+        return 0.0
+    rank = math.ceil(count * p / 100.0)
+    seen = 0
+    for bound in sorted(buckets, key=float):
+        seen += buckets[bound]
+        if seen >= rank:
+            return float(bound)
+    raise AssertionError("rank beyond the buckets")
+
+
+def _assert_merged(hist, parts):
+    """``hist`` is the bucket-wise merge of the histogram ``parts``."""
+    buckets = Counter()
+    for part in parts:
+        buckets.update(part["buckets"])
+    assert hist["count"] == sum(part["count"] for part in parts)
+    assert hist["buckets"] == dict(buckets)
+    for p in (50, 95, 99):
+        assert hist[f"p{p}"] == _percentile(buckets, p)
+
+
+class TestSingleAttributionPath:
+    """explain and the dashboard read the live rollup's files, merged
+    by one function; no report re-derives attribution from a trace."""
+
+    def test_truncated_trace_leaves_explain_unchanged(self, kv_artifacts, tmp_path):
+        machine = tmp_path / "runs" / "kv" / "machine-00"
+        shutil.copytree(kv_artifacts["run_dir"], machine)
+        before = explain_mod.analyze(str(tmp_path))
+        trace = machine / "trace.json"
+        trace.write_bytes(trace.read_bytes()[:100])
+        after = explain_mod.analyze(str(tmp_path))
+        assert after == before
+        assert after["machines"] == [str(machine)]
+        assert after["problems"] == []
+
+    def test_explain_and_dashboard_share_one_merge(self, kv_pair):
+        report = explain_mod.analyze(str(kv_pair))
+        files = [
+            json.loads((kv_pair / name / "attribution.json").read_text())
+            for name in ("machine-00", "machine-01")
+        ]
+        assert report["machines"] == [
+            str(kv_pair / "machine-00"),
+            str(kv_pair / "machine-01"),
+        ]
+        assert report["classes"] == aggregate_sweep(str(kv_pair))["attribution"]
+        assert report["spans_orphaned"] == sum(
+            f["meta"]["spans_orphaned"] for f in files
+        )
+        assert report["machine_cycles"] == sum(f["meta"]["cycles"] for f in files)
+        for cls, entry in report["classes"].items():
+            parts = [f["classes"][cls] for f in files]
+            assert entry["count"] == sum(part["count"] for part in parts)
+            assert entry["cycles"] == pytest.approx(
+                sum(part["cycles"] for part in parts), rel=1e-12
+            )
+            _assert_merged(entry["latency"], [part["latency"] for part in parts])
+            for component in COMPONENTS:
+                comps = [part["components"][component] for part in parts]
+                _assert_merged(entry["components"][component], comps)
+                assert entry["components"][component]["total"] == pytest.approx(
+                    sum(c["total"] for c in comps), rel=1e-12, abs=1e-9
+                )
+
+    @pytest.mark.parametrize(
+        "damage, problem",
+        [
+            (lambda path: path.unlink(), "missing attribution.json"),
+            (
+                lambda path: path.write_text(path.read_text()[:50]),
+                "unreadable attribution.json",
+            ),
+        ],
+        ids=["missing", "torn"],
+    )
+    def test_bad_attribution_file_is_a_problem(
+        self, kv_pair, tmp_path, damage, problem
+    ):
+        root = tmp_path / "root"
+        shutil.copytree(kv_pair, root)
+        damage(root / "machine-00" / "attribution.json")
+        report = explain_mod.analyze(str(root))
+        assert len(report["problems"]) == 1
+        assert report["problems"][0].startswith(str(root / "machine-00"))
+        assert problem in report["problems"][0]
+        assert report["machines"] == [str(root / "machine-01")]
+        alone = json.loads((root / "machine-01" / "attribution.json").read_text())
+        assert report["classes"] == alone["classes"]
+        assert "!! " in explain_mod.render_markdown(report)

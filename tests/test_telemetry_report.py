@@ -160,10 +160,15 @@ class TestSummarizeAndRender:
 
     def test_render_lists_problems(self, tmp_path):
         run_dir = write_run(tmp_path, trace_events=[span_events()[0]])
+        (run_dir / "attribution.json").write_text(
+            json.dumps({"coverage": 0.5, "classes": {"get": {"count": 1}}})
+        )
         summary = summarize_run(str(run_dir))
         text = render(summary)
         assert "INVALID" in text
         assert "!!" in text
+        assert "attribution coverage: 50.00%" in text
+        assert f"(run `leviathan-repro explain {run_dir}` for the waterfall)" in text
 
 
 class TestTelemetryReportCli:
@@ -269,6 +274,22 @@ class TestDashboardAggregation:
         assert payload["kind"] == "leviathan-dashboard"
         markdown = (tmp_path / "dashboard.md").read_text()
         assert "invoke.latency" in markdown
+
+    def test_dashboard_reads_metrics_not_traces(self, tmp_path):
+        from repro.experiments.telemetry_report import aggregate_sweep
+
+        run_dir = self._run(tmp_path, "a", {"2.0": 4}, 4, {"dram.accesses": 1})
+        (run_dir / "trace.json").write_text('{"traceEvents": [{"ph": "b"')
+        agg = aggregate_sweep(str(tmp_path))
+        assert agg["runs"] == 1
+        assert agg["runs_with_problems"] == 0
+        assert agg["cycles"]["total"] == 1234.0
+        assert agg["histograms"]["invoke.latency"]["count"] == 4
+        (run_dir / "metrics.json").write_text("[1, 2, 3]")
+        agg = aggregate_sweep(str(tmp_path))
+        assert agg["runs"] == 1
+        assert agg["runs_with_problems"] == 1
+        assert agg["cycles"]["total"] == 0
 
     def test_write_dashboard_empty_root(self, tmp_path):
         from repro.experiments.telemetry_report import write_dashboard
