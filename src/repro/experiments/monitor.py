@@ -3,14 +3,14 @@
 A long ``--jobs N`` sweep used to be a black box until the manifest was
 written. This module opens three windows into a running fleet:
 
-- **Heartbeats** (worker side): every executing run writes a small JSON
-  file ``<cache-dir>/heartbeats/<hash12>.json`` at a configurable
-  cadence (default 1 s of wall time) carrying the run's phase, its
-  simulated time, and instruction counts. Writes are atomic
-  (``tmp`` + ``os.replace``), so a reader never sees a torn file, and a
-  final beat with phase ``done``/``error`` marks completion. The writer
-  is a daemon thread sampling the worker's live machine (it sees every
-  machine built through the machine-observer list,
+- **Heartbeats** (worker side): a run that has been executing for at
+  least one beat interval (default 1 s of wall time) keeps a small JSON
+  file ``<cache-dir>/heartbeats/<hash12>.json`` carrying its phase, its
+  simulated time, and instruction counts; the file is removed when the
+  run ends, so a heartbeat file means a live run. Writes are atomic
+  (``tmp`` + ``os.replace``), so a reader never sees a torn file. The
+  writer is a daemon thread sampling the worker's live machine (it sees
+  every machine built through the machine-observer list,
   :func:`repro.sim.observers.add_machine_observer`, the same hook the
   telemetry, fault and flight-recorder sessions use); it only *reads*
   scheduler time and stats counters, so the simulation stays
@@ -36,10 +36,7 @@ import threading
 import time
 
 from repro.sim.observers import add_machine_observer, remove_machine_observer
-from repro.sim.telemetry.log import get_logger
 from repro.sim.telemetry.session import TelemetrySession
-
-_log = get_logger("monitor")
 
 #: Heartbeat payload layout version.
 HEARTBEAT_SCHEMA = 1
@@ -50,11 +47,11 @@ HEARTBEAT_DIRNAME = "heartbeats"
 #: Default seconds between beats.
 DEFAULT_INTERVAL = 1.0
 
-#: A live-phase heartbeat older than this many intervals is stale.
-STALE_AFTER_INTERVALS = 5.0
+#: Shortest cadence a writer beats at, whatever it is asked for.
+MIN_INTERVAL = 0.05
 
-#: Phases that mark a heartbeat as finished rather than live.
-TERMINAL_PHASES = ("done", "error")
+#: A heartbeat older than this many intervals is stale.
+STALE_AFTER_INTERVALS = 5.0
 
 
 def heartbeat_dir(root):
@@ -78,31 +75,6 @@ def read_heartbeat(root, run_hash):
     return None
 
 
-def sweep_heartbeats(root, finished_hashes=()):
-    """Heartbeat hygiene: drop files of finished runs; returns count.
-
-    Removes every heartbeat whose phase is terminal (``done``/
-    ``error``) or whose hash appears in ``finished_hashes`` (manifest
-    ground truth). The pool calls this at start and on clean finish so
-    ``leviathan-repro status`` never reports ghosts from a prior
-    sweep. Live beats of other hashes are left alone -- a concurrent
-    sweep sharing the cache dir keeps its in-flight runs visible.
-    """
-    short = {h[:12] for h in finished_hashes if h}
-    removed = 0
-    for beat in read_heartbeats(root):
-        digest = beat.get("hash") or ""
-        if beat.get("phase") in TERMINAL_PHASES or digest[:12] in short:
-            try:
-                os.unlink(heartbeat_path(root, digest))
-                removed += 1
-            except OSError:
-                pass
-    if removed:
-        _log.info("heartbeats.swept", extra={"root": root, "removed": removed})
-    return removed
-
-
 #: Stack of this process's live writers; the top is the current run's.
 _active_writers = []
 
@@ -123,6 +95,11 @@ def current_heartbeat():
 class HeartbeatWriter:
     """Beat one run's progress into ``<dir>/<hash12>.json``.
 
+    The file exists only while the run is live: the thread writes it
+    once per interval, the first time one interval after :meth:`start`,
+    and :meth:`stop` removes it. A run that ends within its first
+    interval never creates it.
+
     The writer observes every machine its worker process builds while
     running (the run's simulator, usually exactly one) and samples the
     most recent one's scheduler clock and instruction counters --
@@ -134,12 +111,13 @@ class HeartbeatWriter:
         self.directory = directory
         self.run_hash = run_hash
         self.label = label
-        self.interval = max(0.05, float(interval))
+        self.interval = max(MIN_INTERVAL, float(interval))
         self.path = os.path.join(directory, f"{run_hash[:12]}.json")
         self.phase = "setup"
         self.started = time.time()
         self._machines = []
         self._suspended = False
+        self._wrote = False
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._loop, name=f"heartbeat-{run_hash[:12]}", daemon=True
@@ -147,47 +125,46 @@ class HeartbeatWriter:
 
     # -- lifecycle ------------------------------------------------------
     def start(self):
+        # Created now, so an unusable directory fails the run at start
+        # instead of looking like a hang.
         os.makedirs(self.directory, exist_ok=True)
         add_machine_observer(self._on_machine)
         _active_writers.append(self)
-        self.beat()
         self._thread.start()
         return self
 
-    def stop(self, phase="done"):
-        """Final beat with a terminal phase; the thread exits."""
+    def stop(self):
+        """End the thread, then remove the file if it was written."""
         remove_machine_observer(self._on_machine)
         if self in _active_writers:
             _active_writers.remove(self)
         self._stop.set()
-        if self._thread.is_alive():
-            self._thread.join(timeout=2 * self.interval)
-        self._suspended = False
-        self.beat(phase=phase)
+        self._thread.join()  # no beat can land after the removal
+        if self._wrote:
+            try:
+                os.unlink(self.path)
+            except OSError:
+                pass  # a beat must never kill the run it observes
         return self
 
     def suspend(self):
         """Stop beating without stopping the run (hang simulation).
 
         Periodic beats are skipped until :meth:`stop`; to the pool's
-        hang detector this run now looks exactly like a worker that
-        livelocked or was SIGSTOPped mid-simulation.
+        hang detector this run now looks exactly like a frozen worker
+        (SIGSTOPped, or blocked in a call that holds the GIL, so this
+        thread cannot run).
         """
         self._suspended = True
         return self
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, exc_type, *exc):
-        self.stop(phase="error" if exc_type is not None else "done")
-        return False
 
     def _on_machine(self, machine):
         self._machines.append(machine)
 
     def _loop(self):
         while not self._stop.wait(self.interval):
+            if self._suspended:
+                continue
             try:
                 self.beat()
             except OSError:
@@ -211,11 +188,7 @@ class HeartbeatWriter:
             sampled["request_p95"] = request_p95
         return sampled
 
-    def beat(self, phase=None):
-        if self._suspended and phase is None:
-            return None
-        if phase is not None:
-            self.phase = phase
+    def beat(self):
         now = time.time()
         payload = {
             "schema": HEARTBEAT_SCHEMA,
@@ -235,6 +208,7 @@ class HeartbeatWriter:
             json.dump(payload, handle)
             handle.write("\n")
         os.replace(tmp, self.path)
+        self._wrote = True
         return payload
 
 
@@ -314,9 +288,9 @@ def summarize_sweep(root, now=None):
     """The live state of one sweep directory, machine-readable.
 
     Manifest entries are ground truth for finished runs; heartbeats
-    cover the in-flight ones. A run with a live-phase heartbeat *and* a
-    manifest entry is finished (the worker died before its final beat,
-    or the beat lost the race) -- the manifest wins.
+    cover the in-flight ones. A run with a heartbeat *and* a manifest
+    entry is finished (its worker was killed before it could remove the
+    file, or the removal lost the race) -- the manifest wins.
     """
     now = time.time() if now is None else now
     manifest = read_manifest(root)
@@ -333,7 +307,7 @@ def summarize_sweep(root, now=None):
             counts["error"] += 1
     running, stale, finished_beats = [], [], []
     for beat in read_heartbeats(root):
-        if beat.get("phase") in TERMINAL_PHASES or beat.get("hash") in finished_hashes:
+        if beat.get("hash") in finished_hashes:
             finished_beats.append(beat)
             continue
         age = now - beat.get("updated", 0)
@@ -488,11 +462,7 @@ class PoolMonitor:
 
     def _render(self, final=False):
         done, total = self.pool.progress()
-        running = [
-            beat
-            for beat in read_heartbeats(self.root)
-            if beat.get("phase") not in TERMINAL_PHASES
-        ]
+        running = read_heartbeats(self.root)
         detail = ", ".join(
             f"{beat.get('label', '?')} t={_fmt_sim_time(beat.get('sim_time'))}"
             for beat in running[:3]

@@ -37,9 +37,9 @@ as fault-tolerant as PR 3 made the simulated machine:
 - every run gets a wall-clock deadline (``RunSpec.deadline_s``, the
   pool's ``run_timeout`` default, CLI ``--run-timeout``) enforced by
   killing the worker -- a timeout is transient;
-- a run whose live-phase heartbeat goes stale beyond
-  ``hang_intervals`` beats is declared hung: the worker is killed, a
-  postmortem stub is written, and the run is requeued;
+- a run that has not beaten for ``hang_intervals`` beat intervals (aged
+  from dispatch until its first beat) is declared hung: the worker is
+  killed, a postmortem stub is written, and the run is requeued;
 - cache entries carry a sha256 checksum of their result payload;
   corrupt or truncated entries are quarantined to
   ``<cache-dir>/quarantine/`` and re-executed, never returned;
@@ -308,7 +308,7 @@ def _execute_job(job):
             for session in sessions:
                 session.install()
             if heartbeat is not None:
-                heartbeat.beat(phase="simulating")
+                heartbeat.phase = "simulating"
             if profiler is not None:
                 result = profiler.run(fn, **job["kwargs"])
             else:
@@ -365,10 +365,7 @@ def _execute_job(job):
         outcome["faults_injected"] = faults.total_injected
     outcome["elapsed"] = time.perf_counter() - started
     if heartbeat is not None:
-        try:
-            heartbeat.stop(phase="done" if outcome["status"] == "ok" else "error")
-        except OSError:
-            pass
+        heartbeat.stop()
     _log.info(
         "run.end",
         extra={
@@ -486,10 +483,10 @@ class ExperimentPool:
         ``deadline_s`` wins). None disables deadlines. Enforced only
         on killable backends -- an inline run cannot be preempted.
     hang_intervals:
-        A run whose live-phase heartbeat is older than this many of
-        its own beat intervals is declared hung: the worker is killed
-        and the run requeued. None disables hang detection (it is
-        also off whenever heartbeats are off).
+        A run that has not beaten for this many beat intervals (counted
+        from dispatch until its first beat) is declared hung: the
+        worker is killed and the run requeued. None disables hang
+        detection (it is also off whenever heartbeats are off).
     """
 
     def __init__(
@@ -718,10 +715,10 @@ class ExperimentPool:
         """
         if not self.cache_dir:
             return None
-        if self.heartbeat_interval is not None:
-            return float(self.heartbeat_interval)
-        from repro.experiments.monitor import DEFAULT_INTERVAL
+        from repro.experiments.monitor import DEFAULT_INTERVAL, MIN_INTERVAL
 
+        if self.heartbeat_interval is not None:
+            return max(MIN_INTERVAL, float(self.heartbeat_interval))
         return DEFAULT_INTERVAL if self.jobs > 1 else None
 
     def _postmortem_dir(self, digest, label):
@@ -748,7 +745,6 @@ class ExperimentPool:
         fail; failures are journaled and collected on ``self.failures``.
         """
         specs = list(specs)
-        self._sweep_heartbeats()
         order = []
         pending = []
         queued = set()
@@ -766,21 +762,7 @@ class ExperimentPool:
             queued.add(digest)
             pending.append(self._job(spec, digest))
         self._execute(pending)
-        # Clean finish: heartbeat files of the runs just completed are
-        # hygiene debt -- sweep them so `status` never reports ghosts.
-        self._sweep_heartbeats(order)
         return [self._memory[digest] for digest in order]
-
-    def _sweep_heartbeats(self, extra_hashes=()):
-        """Remove heartbeat files of finished/cached runs (ghosts)."""
-        if not self.cache_dir:
-            return
-        from repro.experiments.monitor import read_manifest, sweep_heartbeats
-
-        finished = {entry.get("hash") for entry in read_manifest(self.cache_dir)}
-        finished.update(extra_hashes)
-        finished.discard(None)
-        sweep_heartbeats(self.cache_dir, finished_hashes=finished)
 
     def run_results(self, specs):
         """Execute ``specs`` and decode their results, in spec order.
@@ -929,6 +911,7 @@ class ExperimentPool:
         record["started_wall"] = time.time()
         record["kill_reason"] = None
         record["kill_detail"] = ""
+        record["missing_since"] = None  # hang detection: see _detect_hangs
         try:
             handle = backend.submit(job)
         except OSError as exc:  # fork/pipe failure: host-side, transient
@@ -967,29 +950,43 @@ class ExperimentPool:
                 backend.kill(handle, reason=retry_taxonomy.TIMEOUT)
 
     def _detect_hangs(self, backend, running):
-        """Kill workers whose live-phase heartbeat went stale."""
-        if self.hang_intervals is None or self._heartbeat_interval() is None:
-            return
-        from repro.experiments.monitor import TERMINAL_PHASES, read_heartbeat
+        """Kill workers that have not beaten within the hang horizon.
 
+        A run is aged from this attempt's last beat, or from its
+        dispatch while it has not beaten yet; its heartbeat file is
+        read only once the run is older than the horizon. A run also
+        removes its file just before it sends its outcome, so a missing
+        file counts only once it has stayed missing for an interval:
+        by then a run that ended has reported.
+        """
+        interval = self._heartbeat_interval()
+        if self.hang_intervals is None or interval is None:
+            return
+        from repro.experiments.monitor import read_heartbeat
+
+        horizon = self.hang_intervals * interval
         now_wall = time.time()
         for handle, record in running.items():
-            if record["kill_reason"] is not None:
+            dispatched = record["started_wall"]
+            if record["kill_reason"] is not None or now_wall - dispatched <= horizon:
                 continue
             beat = read_heartbeat(self.cache_dir, record["job"]["hash"])
-            if beat is None or beat.get("phase") in TERMINAL_PHASES:
-                continue
-            if beat.get("started", 0) < record["started_wall"] - 1.0:
-                continue  # a ghost from a previous attempt or sweep
-            age = now_wall - beat.get("updated", now_wall)
-            horizon = self.hang_intervals * beat.get(
-                "interval", self._heartbeat_interval() or 1.0
-            )
+            if beat is not None and beat.get("started", 0) >= dispatched - 1.0:
+                record["missing_since"] = None
+                last = beat.get("updated", dispatched)
+            else:
+                beat = None  # none yet, or a ghost of an earlier attempt or sweep
+                if record["missing_since"] is None:
+                    record["missing_since"] = now_wall
+                if now_wall - record["missing_since"] <= interval:
+                    continue
+                last = dispatched
+            age = now_wall - last
             if age <= horizon:
                 continue
             record["kill_reason"] = retry_taxonomy.HUNG
             record["kill_detail"] = (
-                f"live-phase heartbeat stale for {age:.1f}s "
+                f"no heartbeat for {age:.1f}s "
                 f"(> {horizon:.1f}s); worker killed"
             )
             self.supervision["hangs"] += 1
@@ -1089,7 +1086,8 @@ class ExperimentPool:
 
     def _write_hang_postmortem(self, record, beat):
         """A SIGKILLed worker cannot drain its flight recorder, so the
-        supervisor leaves the postmortem stub in its place."""
+        supervisor leaves the postmortem stub in its place (``beat`` is
+        None when the run never beat)."""
         job = record["job"]
         outdir = job.get("postmortem_dir") or self._postmortem_dir(
             job["hash"], job["label"]
@@ -1127,13 +1125,16 @@ class ExperimentPool:
         except ValueError:  # pragma: no cover - unknown signal number
             signame = f"signal {signum}"
         cancelled = len(queue) + len(waiting)
-        killed = len(running)
+        killed = [record["job"]["hash"] for record in running.values()]
         queue.clear()
         waiting.clear()
         for handle in list(running):
             backend.kill(handle, reason="interrupted")
         backend.shutdown()
         running.clear()
+        # The workers are reaped: their heartbeat files are ghosts now.
+        for digest in killed:
+            self._discard_heartbeat(digest)
         # Every _append_manifest already flushed + fsynced its line;
         # nothing buffered remains to lose.
         _log.warning(
@@ -1143,7 +1144,7 @@ class ExperimentPool:
                 "finished": self._pending_done,
                 "total": self._pending_total,
                 "cancelled": cancelled,
-                "killed": killed,
+                "killed": len(killed),
             },
         )
         raise SweepInterrupted(signame, self._pending_done, self._pending_total)

@@ -5,7 +5,7 @@ every failed run attempt into one of two buckets:
 
 - **transient** -- the *host* failed, not the workload: the worker
   process died (OOM killer, SIGKILL, a chaos hook), the run exceeded
-  its wall-clock deadline, its heartbeat went stale (hung worker), or
+  its wall-clock deadline, it stopped beating (hung worker), or
   the backend hit an :class:`OSError` dispatching it. The supervisor
   names the kind itself (the reason it killed a worker,
   ``worker-died`` for a worker that died unasked, ``dispatch-error``

@@ -288,8 +288,9 @@ def aggregate_sweep(root):
     run's ``fault_report.json`` when one was armed; the attribution
     waterfall merges each run's ``attribution.json``
     (:func:`aggregate_attribution`). Traces are not read: validating
-    them is the ``telemetry`` report's job. A run whose
-    ``metrics.json`` is torn or malformed is tallied as a problem.
+    them is the ``telemetry`` report's job. A run whose ``metrics.json``
+    or ``attribution.json`` is missing, torn or malformed is tallied
+    once as a problem.
     """
     runs = find_runs(root)
     counters = {}
@@ -299,12 +300,12 @@ def aggregate_sweep(root):
     faults_injected = 0
     fault_reports_seen = set()
     nacks = 0
-    runs_with_problems = 0
+    problem_runs = set()
     spans_orphaned = 0
     for run_dir in runs:
         metrics, _problem = _read_json(os.path.join(run_dir, "metrics.json"))
         if metrics is None:
-            runs_with_problems += 1
+            problem_runs.add(run_dir)
             metrics = {}
         meta = metrics.get("meta") or {}
         if meta.get("cycles") is not None:
@@ -335,6 +336,8 @@ def aggregate_sweep(root):
                     (fault_report.get("injected") or {}).values()
                 )
     histograms = {name: hist.snapshot() for name, hist in histograms.items()}
+    attribution = aggregate_attribution(runs)
+    problem_runs.update(set(runs) - set(attribution["machines"]))
     # Serving workloads declare request classes (GET/PUT/SCAN/...); each
     # surfaces as a request.latency.<class> histogram family. Roll them
     # up under their own key so dashboards and CI can assert on
@@ -348,7 +351,7 @@ def aggregate_sweep(root):
         "kind": "leviathan-dashboard",
         "root": root,
         "runs": len(runs),
-        "runs_with_problems": runs_with_problems,
+        "runs_with_problems": len(problem_runs),
         "cycles": {
             "total": sum(cycles),
             "min": min(cycles) if cycles else None,
@@ -358,7 +361,7 @@ def aggregate_sweep(root):
         "subsystems": dict(sorted(subsystems.items())),
         "histograms": dict(sorted(histograms.items())),
         "requests": dict(sorted(requests.items())),
-        "attribution": aggregate_attribution(runs)["classes"],
+        "attribution": attribution["classes"],
         "spans_orphaned": spans_orphaned,
         "faults_injected": faults_injected,
         "retries": counters.get("invoke.retries_observed", 0),

@@ -52,11 +52,10 @@ KNOWN_EVENTS = frozenset(
         "run.worker_died",  # worker vanished without an outcome
         "run.retry",  # transient failure requeued with backoff
         "run.timeout",  # wall-clock deadline exceeded; worker killed
-        "run.hung",  # live-phase heartbeat went stale; worker killed
+        "run.hung",  # no heartbeat within the hang horizon; worker killed
         "pool.inline_unsupervised",  # jobs=1 inline path cannot enforce deadlines
         "sweep.interrupted",  # SIGINT/SIGTERM graceful drain
         "cache.quarantined",  # corrupt cache entry moved aside
-        "heartbeats.swept",  # ghost heartbeat files removed
         # sweep aggregation
         "sweep.dashboard",
         # simulator-side lifecycle

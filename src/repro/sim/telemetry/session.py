@@ -493,18 +493,7 @@ class TelemetrySession(MachineSession):
     # -- artifacts ------------------------------------------------------
     def save(self, outdir):
         """One artifact directory per observed machine; returns the paths."""
-        os.makedirs(outdir, exist_ok=True)
-        paths = []
-        index = []
-        for telemetry in self.attached:
-            sub = os.path.join(outdir, telemetry.label)
-            telemetry.save(sub)
-            paths.append(sub)
-            meta = telemetry.meta()
-            index.append(
-                f"{telemetry.label}: cycles={meta['cycles']:.0f} "
-                f"spans={meta['spans']} unclosed={meta['spans_unclosed']}"
-            )
-        with open(os.path.join(outdir, "summary.txt"), "w") as handle:
-            handle.write("\n".join(index) + "\n")
-        return paths
+        return [
+            telemetry.save(os.path.join(outdir, telemetry.label))
+            for telemetry in self.attached
+        ]

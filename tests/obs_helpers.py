@@ -25,6 +25,12 @@ def slow_point(tag, seconds=0.3):
     return {"tag": tag}
 
 
+def big_point(tag, seconds=0.2, size=200_000):
+    """Sleep, then return a large result that takes a while to send."""
+    time.sleep(seconds)
+    return {"tag": tag, "blob": list(range(size))}
+
+
 def pid_point(tag="pid"):
     """The pid of the process that ran this spec (``tag`` only labels it)."""
     return os.getpid()
@@ -53,13 +59,15 @@ def slow_once_point(sentinel, tag="slow-once", seconds=60.0):
     return {"tag": tag}
 
 
-def hang_point(sentinel, tag="hang", seconds=120.0):
+def hang_point(sentinel, tag="hang", seconds=120.0, after_beat=False):
     """Simulate a hung worker once; succeed on the retried attempt.
 
-    The first attempt suspends its own heartbeat writer and sleeps --
-    to the supervisor this is indistinguishable from a livelocked or
-    SIGSTOPped worker, so it must be killed via hang detection and
-    requeued. The retried attempt sees the sentinel and returns.
+    The first attempt suspends its own heartbeat writer (at once, or
+    after its first beat with ``after_beat``) and sleeps -- to the
+    supervisor this is indistinguishable from a frozen worker
+    (SIGSTOPped, or blocked in a call that holds the GIL), so it must
+    be killed via hang detection and requeued. The retried attempt
+    sees the sentinel and returns.
     """
     if not os.path.exists(sentinel):
         with open(sentinel, "w") as handle:
@@ -68,6 +76,8 @@ def hang_point(sentinel, tag="hang", seconds=120.0):
 
         writer = current_heartbeat()
         if writer is not None:
+            while after_beat and not os.path.exists(writer.path):
+                time.sleep(0.01)
             writer.suspend()
         time.sleep(seconds)
     return {"tag": tag}

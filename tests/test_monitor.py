@@ -47,6 +47,18 @@ def _write_heartbeat(root, **overrides):
     return payload
 
 
+def _read_updated(path):
+    with open(path) as handle:
+        return json.load(handle)["updated"]
+
+
+def _wait_for_file(path, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not os.path.exists(path):
+        assert time.monotonic() < deadline, f"{path} never appeared"
+        time.sleep(0.01)
+
+
 class TestHeartbeatWriter:
     def test_beats_sample_live_machines(self, tmp_path):
         writer = HeartbeatWriter(
@@ -55,15 +67,39 @@ class TestHeartbeatWriter:
         writer.start()
         try:
             Machine(small_config())  # observed while the writer is live
-            payload = writer.beat(phase="simulating")
+            writer.phase = "simulating"
+            payload = writer.beat()
+            beats = read_heartbeats(str(tmp_path))
         finally:
-            writer.stop(phase="done")
+            writer.stop()
         assert payload["machines"] == 1
         assert payload["sim_time"] == 0
-        beats = read_heartbeats(str(tmp_path))
         assert len(beats) == 1
-        assert beats[0]["phase"] == "done"
+        assert beats[0]["phase"] == "simulating"
         assert beats[0]["label"] == "hb/run"
+        assert read_heartbeats(str(tmp_path)) == []  # gone with the run
+
+    def test_stopped_within_first_interval_never_creates_its_file(self, tmp_path):
+        directory = heartbeat_dir(str(tmp_path))
+        writer = HeartbeatWriter(directory, "a" * 24, "hb/short", interval=5.0)
+        writer.start()
+        try:
+            assert os.listdir(directory) == []  # start makes the directory only
+        finally:
+            writer.stop()
+        assert os.listdir(directory) == []
+
+    def test_writer_that_beat_removes_its_file_at_stop(self, tmp_path):
+        writer = HeartbeatWriter(
+            heartbeat_dir(str(tmp_path)), "f" * 24, "hb/beat", interval=0.05
+        )
+        writer.start()
+        try:
+            _wait_for_file(writer.path)  # the thread's first periodic beat
+        finally:
+            writer.stop()
+        assert not os.path.exists(writer.path)
+        assert os.listdir(writer.directory) == []
 
     def test_stop_detaches_the_machine_observer(self, tmp_path):
         writer = HeartbeatWriter(
@@ -119,8 +155,8 @@ class TestStatus:
         assert "stale" in text
 
     def test_manifest_wins_over_a_live_heartbeat(self, tmp_path):
-        # A worker killed before its final beat: the manifest entry for
-        # the same hash marks the run finished anyway.
+        # A worker killed before it removed its file: the manifest entry
+        # for the same hash marks the run finished anyway.
         beat = _write_heartbeat(tmp_path)
         with open(os.path.join(str(tmp_path), "manifest.jsonl"), "w") as handle:
             handle.write(
@@ -174,6 +210,7 @@ class TestLiveSweep:
             thread.join(timeout=60)
         assert saw_running, "status never observed an in-flight run"
         assert saw_running[0]["label"].startswith("slow/")
+        assert saw_running[0]["phase"] == "simulating"
         final = summarize_sweep(str(tmp_path))
         assert not final["running"]
         assert final["counts"]["ok"] == 2
@@ -246,30 +283,19 @@ class TestHeartbeatHelpers:
             handle.write('{"kind": "leviathan-hea')
         assert read_heartbeat(str(tmp_path), payload["hash"]) is None
 
-    def test_sweep_removes_terminal_and_finished_beats(self, tmp_path):
-        from repro.experiments.monitor import sweep_heartbeats
-
-        _write_heartbeat(tmp_path, hash="a" * 24, phase="done")
-        _write_heartbeat(tmp_path, hash="b" * 24, phase="simulating")
-        _write_heartbeat(tmp_path, hash="c" * 24, phase="simulating")
-        removed = sweep_heartbeats(str(tmp_path), finished_hashes={"b" * 24})
-        assert removed == 2  # the terminal one and the finished one
-        remaining = {b["hash"] for b in read_heartbeats(str(tmp_path))}
-        assert remaining == {"c" * 24}  # live in-flight beat untouched
-
-    def test_suspend_skips_periodic_beats_but_not_stop(self, tmp_path):
+    def test_suspend_skips_periodic_beats(self, tmp_path):
         writer = HeartbeatWriter(str(tmp_path), "d" * 24, "w/susp", interval=0.05)
         writer.start()
         try:
+            _wait_for_file(writer.path)
             writer.suspend()
-            path = writer.path
-            before = os.path.getmtime(path)
-            stamp = json.load(open(path))["updated"]
+            time.sleep(0.1)  # a beat already under way lands
+            stamp = _read_updated(writer.path)
             time.sleep(0.2)
-            assert json.load(open(path))["updated"] == stamp  # no beats
+            assert _read_updated(writer.path) == stamp  # no beats
         finally:
-            writer.stop(phase="done")
-        assert json.load(open(path))["phase"] == "done"  # final beat wrote
+            writer.stop()
+        assert not os.path.exists(writer.path)
 
     def test_current_heartbeat_tracks_active_writer(self, tmp_path):
         from repro.experiments.monitor import current_heartbeat

@@ -184,5 +184,4 @@ class TestKnownEvents:
             "run.hung",
             "sweep.interrupted",
             "cache.quarantined",
-            "heartbeats.swept",
         } <= KNOWN_EVENTS

@@ -35,6 +35,7 @@ _SLOW = "tests.obs_helpers:slow_point"
 _FLAKY = "tests.obs_helpers:flaky_point"
 _SLOW_ONCE = "tests.obs_helpers:slow_once_point"
 _HANG = "tests.obs_helpers:hang_point"
+_BIG = "tests.obs_helpers:big_point"
 _COMPACTION = "repro.experiments.ablations:compaction_point"
 _MC_CACHE = "repro.experiments.ablations:mc_cache_point"
 
@@ -269,22 +270,62 @@ class TestHangDetection:
         [entry] = _read_manifest(str(cache))
         assert entry["status"] == "ok" and entry["attempts"] == 2
 
-    def test_hang_kill_leaves_postmortem_stub(self, tmp_path):
-        cache = tmp_path / "cache"
-        sentinel = str(tmp_path / "hang.sentinel")
-        pool = _supervised_pool(cache, heartbeat_interval=0.1, hang_intervals=3.0)
-        spec = RunSpec(_HANG, {"sentinel": sentinel, "seconds": 60.0}, "sup/hangpm")
-        pool.run_results([spec])
+    def _stub(self, cache):
         roots = []
         for dirpath, _dirs, files in os.walk(str(cache / "postmortems")):
             roots.extend(os.path.join(dirpath, f) for f in files)
         assert roots, "hang kill must leave a postmortem stub"
         with open(roots[0]) as handle:
-            stub = json.load(handle)
+            return json.load(handle)
+
+    def test_hang_kill_leaves_postmortem_stub(self, tmp_path):
+        # The run freezes long before its first beat is due: it is aged
+        # from dispatch and killed with no heartbeat to record.
+        cache = tmp_path / "cache"
+        sentinel = str(tmp_path / "hang.sentinel")
+        pool = _supervised_pool(cache, heartbeat_interval=0.5, hang_intervals=3.0)
+        spec = RunSpec(_HANG, {"sentinel": sentinel, "seconds": 60.0}, "sup/hangpm")
+        started = time.monotonic()
+        [result] = pool.run_results([spec])
+        assert time.monotonic() - started < 30.0
+        assert result == {"tag": "hang"}
+        assert pool.supervision["hangs"] == 1
+        stub = self._stub(cache)
         assert stub["kind"] == "leviathan-postmortem"
         assert stub["reason"] == "hung"
-        assert stub["heartbeat"]["phase"] == "simulating"
+        assert stub["heartbeat"] is None
         assert "SIGKILL" in stub["note"]
+
+    def test_hang_after_a_beat_is_aged_from_that_beat(self, tmp_path):
+        cache = tmp_path / "cache"
+        sentinel = str(tmp_path / "hang.sentinel")
+        pool = _supervised_pool(cache, heartbeat_interval=0.1, hang_intervals=3.0)
+        spec = RunSpec(
+            _HANG,
+            {"sentinel": sentinel, "seconds": 60.0, "after_beat": True},
+            "sup/hangbeat",
+        )
+        [result] = pool.run_results([spec])
+        assert result == {"tag": "hang"}
+        assert pool.supervision["hangs"] == 1
+        stub = self._stub(cache)
+        assert stub["heartbeat"]["phase"] == "simulating"
+        assert stub["heartbeat"]["hash"] == spec_hash(spec)
+        assert "no heartbeat for" in stub["detail"]
+
+    def test_run_that_ends_is_not_called_hung(self, tmp_path):
+        # Each run outlives the horizon, beating, then removes its file
+        # while its large outcome is still on the way to the supervisor.
+        pool = _supervised_pool(
+            tmp_path / "cache", cache=False, heartbeat_interval=0.05, hang_intervals=3.0
+        )
+        specs = [
+            RunSpec(_BIG, {"tag": i, "seconds": 0.2}, f"sup/big-{i}") for i in range(10)
+        ]
+        outcomes = pool.run(specs)
+        assert [o["status"] for o in outcomes] == ["ok"] * len(specs)
+        assert pool.supervision["hangs"] == 0
+        assert pool.supervision["retries"] == 0
 
 
 class TestCacheIntegrity:
@@ -419,35 +460,66 @@ class TestManifestDurability:
 
 
 class TestHeartbeatHygiene:
-    def test_ghost_heartbeats_swept_at_start_and_finish(self, tmp_path):
+    def test_pool_leaves_other_runs_heartbeats_alone(self, tmp_path):
         from repro.experiments.monitor import heartbeat_dir, read_heartbeats
 
         cache = str(tmp_path / "cache")
         hb_dir = heartbeat_dir(cache)
         os.makedirs(hb_dir)
-        spec = RunSpec(_SLOW, {"tag": "g", "seconds": 0.0}, "sup/ghost")
+        spec = RunSpec(_SLOW, {"tag": "g", "seconds": 0.3}, "sup/ghost")
         ghost = {
             "kind": "leviathan-heartbeat",
             "hash": "abcd" * 6,
             "label": "old/run",
-            "phase": "done",
+            "phase": "simulating",
             "started": 1.0,
             "updated": 2.0,
             "interval": 1.0,
         }
         with open(os.path.join(hb_dir, ghost["hash"][:12] + ".json"), "w") as handle:
             json.dump(ghost, handle)
-        live_foreign = dict(ghost, hash="ffff" * 6, phase="simulating")
+        live_foreign = dict(ghost, hash="ffff" * 6, updated=time.time())
         with open(
             os.path.join(hb_dir, live_foreign["hash"][:12] + ".json"), "w"
         ) as handle:
             json.dump(live_foreign, handle)
-        pool = ExperimentPool(jobs=1, cache_dir=cache, heartbeat_interval=0.1)
+        pool = ExperimentPool(jobs=1, cache_dir=cache, heartbeat_interval=0.05)
         pool.run([spec])
         remaining = {b["hash"] for b in read_heartbeats(cache)}
-        # terminal ghost gone, this sweep's own beat swept on clean
-        # finish, a live beat from a concurrent sweep left alone
-        assert remaining == {live_foreign["hash"]}
+        # this run's own file went with it; the files of other runs (a
+        # killed run's ghost, a concurrent sweep's live run) are theirs
+        assert remaining == {ghost["hash"], live_foreign["hash"]}
+
+    def test_two_worker_sweep_leaves_no_heartbeat(self, tmp_path):
+        from repro.experiments.monitor import heartbeat_dir
+
+        cache = str(tmp_path / "cache")
+        pool = _supervised_pool(cache, heartbeat_interval=0.05)
+        specs = [
+            RunSpec(_SLOW, {"tag": i, "seconds": 0.3 if i % 2 else 0.0}, f"sup/hb-{i}")
+            for i in range(4)
+        ]
+        assert pool.run_results(specs) == [{"tag": i} for i in range(4)]
+        assert os.listdir(heartbeat_dir(cache)) == []
+
+    def test_pool_run_reads_no_manifest(self, tmp_path, monkeypatch):
+        from repro.experiments import monitor
+
+        def _forbidden(root):
+            raise AssertionError("a pool run parsed the manifest")
+
+        cache = str(tmp_path / "cache")
+        specs = [
+            RunSpec(_SLOW, {"tag": i, "seconds": 0.0}, f"sup/nomf-{i}")
+            for i in range(2)
+        ]
+        pool = _supervised_pool(cache, heartbeat_interval=0.05)
+        monkeypatch.setattr(monitor, "read_manifest", _forbidden)
+        pool.run_results(specs)  # cold
+        pool.run_results(specs)  # memoized
+        rerun = _supervised_pool(cache, heartbeat_interval=0.05)
+        rerun.run_results(specs)  # from the cache
+        assert rerun.consume_report().get("cached") == 2
 
 
 _INTERRUPT_DRIVER = """\
@@ -494,6 +566,8 @@ sys.exit(0)
 
 class TestInterruptAndResume:
     def test_sigint_drains_and_resume_completes(self, tmp_path, monkeypatch):
+        from repro.experiments.monitor import heartbeat_path
+
         cache = str(tmp_path / "cache")
         driver = tmp_path / "driver.py"
         driver.write_text(_INTERRUPT_DRIVER)
@@ -513,6 +587,14 @@ class TestInterruptAndResume:
             text=True,
         )
         manifest = os.path.join(cache, "manifest.jsonl")
+        # The two slow runs are the ones the drain kills.
+        killed_beats = [
+            heartbeat_path(
+                cache,
+                spec_hash(RunSpec(_SLOW, {"tag": f"slow-{i}", "seconds": 120.0})),
+            )
+            for i in range(2)
+        ]
         try:
             deadline = time.monotonic() + 120.0
             while time.monotonic() < deadline:
@@ -531,6 +613,11 @@ class TestInterruptAndResume:
                 time.sleep(0.05)
             else:
                 pytest.fail("sweep never journaled its fast specs")
+            # Let both slow runs beat, so the drain has files to remove.
+            while time.monotonic() < deadline and proc.poll() is None:
+                if all(os.path.exists(path) for path in killed_beats):
+                    break
+                time.sleep(0.05)
             proc.send_signal(signal.SIGINT)
             out, err = proc.communicate(timeout=60)
         finally:
@@ -542,6 +629,8 @@ class TestInterruptAndResume:
         entries = _read_manifest(cache)  # intact: every line parses
         ok_hashes = {e["hash"] for e in entries if e["status"] == "ok"}
         assert len(ok_hashes) >= 4
+        # Killed on purpose, so not left for `status` to call stale.
+        assert [path for path in killed_beats if os.path.exists(path)] == []
 
         # -- resume: finished runs come from cache, killed runs rerun --
         import repro.experiments.ablations as ablations

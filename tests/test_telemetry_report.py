@@ -237,6 +237,8 @@ class TestDashboardAggregation:
             "buckets": buckets,
         }
         (run_dir / "metrics.json").write_text(json.dumps(metrics))
+        # Every saved machine has one, as Telemetry.save writes it.
+        (run_dir / "attribution.json").write_text('{"classes": {}, "meta": {}}')
         return run_dir
 
     def test_histograms_merge_across_runs(self, tmp_path):
@@ -290,6 +292,20 @@ class TestDashboardAggregation:
         assert agg["runs"] == 1
         assert agg["runs_with_problems"] == 1
         assert agg["cycles"]["total"] == 0
+
+    def test_torn_attribution_counts_as_a_problem_once(self, tmp_path):
+        from repro.experiments.telemetry_report import aggregate_sweep
+
+        torn = self._run(tmp_path, "a", {"2.0": 4}, 4, {"dram.accesses": 1})
+        self._run(tmp_path, "b", {"2.0": 4}, 4, {"dram.accesses": 1})
+        (torn / "attribution.json").write_text('{"classes": {"get": {"cou')
+        agg = aggregate_sweep(str(tmp_path))
+        assert agg["runs"] == 2
+        assert agg["runs_with_problems"] == 1
+        (torn / "metrics.json").write_text("[1, 2, 3]")  # both files bad
+        assert aggregate_sweep(str(tmp_path))["runs_with_problems"] == 1
+        (torn / "attribution.json").unlink()
+        assert aggregate_sweep(str(tmp_path))["runs_with_problems"] == 1
 
     def test_write_dashboard_empty_root(self, tmp_path):
         from repro.experiments.telemetry_report import write_dashboard
