@@ -43,9 +43,10 @@ run into ``dashboard.md`` / ``dashboard.json``.
 (:mod:`repro.perf`): the registered micro/macro benchmarks with
 ``--trials``/``--warmup``, writing ``BENCH_<git-sha>.json`` into
 ``--out``. ``bench --compare BASELINE`` additionally renders a
-noise-aware verdict table against a baseline file (nonzero exit on a
-regression); ``bench --compare OLD NEW`` compares two recorded files
-without running anything. See ``docs/performance.md``.
+verdict table against a baseline file, on calls per unit and on
+wall-clock medians (nonzero exit on a regression); ``bench --compare
+OLD NEW`` compares two recorded files without running anything. See
+``docs/performance.md``.
 """
 
 import argparse
@@ -151,8 +152,10 @@ def main(argv=None):
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="skip runs already recorded ok in the cache manifest "
-        "(continue an interrupted sweep)",
+        help="continue an interrupted sweep: serve the runs the cache "
+        "manifest records ok from their cache entries, even under "
+        "--no-cache. With the cache on, a plain rerun does the same; a "
+        "sweep run with --no-cache wrote no entries to serve",
     )
     parser.add_argument(
         "--backend",
@@ -258,15 +261,8 @@ def main(argv=None):
         metavar="FILE",
         help="one file: run the suite, then compare against this baseline; "
         "two files: compare OLD NEW without running anything. "
-        "Exits nonzero on a regression.",
-    )
-    bench_group.add_argument(
-        "--factor",
-        type=float,
-        default=None,
-        metavar="F",
-        help="regression threshold: median beyond F x baseline AND outside "
-        "the baseline IQR (default: 2.0)",
+        "Exits 1 on a regression: calls per unit more than 1%% over the "
+        "baseline's, or a median beyond 3x the baseline's and its q3.",
     )
     args = parser.parse_args(argv)
 
@@ -275,6 +271,8 @@ def main(argv=None):
             f"--run-retries must be >= 1 (1 disables retry), "
             f"got {args.run_retries}"
         )
+    if args.trials < 1:
+        parser.error(f"--trials must be >= 1, got {args.trials}")
     if args.experiment not in _COMMANDS and args.experiment not in _EXPERIMENTS:
         parser.error(
             f"unknown experiment {args.experiment!r}; "
@@ -472,25 +470,25 @@ def _run_bench(args):
     """The ``bench`` subcommand: run, record, and/or compare benchmarks."""
     from repro.perf import registry as bench_registry
     from repro.perf.bench import render_results, run_benchmark
-    from repro.perf.compare import (
-        DEFAULT_FACTOR,
-        compare,
-        has_regression,
-        render_verdicts,
-    )
+    from repro.perf.compare import compare, has_regression, render_verdicts
     from repro.perf.history import bench_payload, load_history, write_history
 
-    factor = args.factor if args.factor is not None else DEFAULT_FACTOR
     compare_paths = args.compare or []
     if len(compare_paths) > 2:
         print("usage: bench --compare BASELINE | --compare OLD NEW", file=sys.stderr)
         return 2
+    # Load every baseline before running anything: a bad path is a usage
+    # error, not a regression after minutes of benchmarks.
+    try:
+        baselines = [load_history(path) for path in compare_paths]
+    except (OSError, ValueError) as exc:
+        print(f"bench --compare: {exc}", file=sys.stderr)
+        return 2
 
-    if len(compare_paths) == 2:
+    if len(baselines) == 2:
         # Pure file comparison: no benchmarks are executed.
-        old, new = (load_history(path) for path in compare_paths)
-        verdicts = compare(old, new, factor=factor)
-        print(render_verdicts(verdicts, factor=factor))
+        verdicts = compare(*baselines)
+        print(render_verdicts(verdicts))
         return 1 if has_regression(verdicts) else 0
 
     benches = bench_registry.select(args.filter)
@@ -531,11 +529,10 @@ def _run_bench(args):
             if bench.kind == "macro":
                 print(harness.report.render(top=10))
 
-    if compare_paths:
-        baseline = load_history(compare_paths[0])
-        verdicts = compare(baseline, payload, factor=factor)
+    if baselines:
+        verdicts = compare(baselines[0], payload)
         print()
-        print(render_verdicts(verdicts, factor=factor))
+        print(render_verdicts(verdicts))
         if has_regression(verdicts):
             return 1
     return 0

@@ -7,15 +7,16 @@ engine offload) decide how much evaluation we can afford. This package
 makes host time a first-class, tracked quantity:
 
 - :mod:`repro.perf.bench` / :mod:`repro.perf.registry` -- named micro
-  and macro benchmarks run with warmup, N trials, median/IQR, and a
-  steps-per-second normalization.
+  and macro benchmarks run with warmup, N trials, median/IQR, a
+  steps-per-second normalization, and Python calls per unit.
 - :mod:`repro.perf.profile` -- a cProfile harness with per-subsystem
   wall-time attribution plus a sampling collector that emits
   Brendan-Gregg collapsed stacks for flamegraphs.
 - :mod:`repro.perf.history` / :mod:`repro.perf.compare` -- every bench
   run writes ``BENCH_<git-sha>.json`` stamped with a machine/python
   fingerprint (:mod:`repro.perf.fingerprint`); ``bench --compare``
-  renders a noise-aware verdict table against a baseline file.
+  renders a verdict table against a baseline file, on calls per unit
+  and on wall-clock medians.
 
 ``python -m repro.experiments bench`` is the command-line entry point;
 ``docs/performance.md`` is the guide.

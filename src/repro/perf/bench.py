@@ -16,9 +16,12 @@ verdict in :mod:`repro.perf.compare` uses), and ``units / median`` as a
 steps-per-second normalization that survives resizing a benchmark.
 """
 
+import cProfile
 import statistics
 import time
 from dataclasses import dataclass, field
+
+from repro.perf.profile import ProfileReport
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,8 @@ class BenchResult:
     median_s: float = 0.0
     q1_s: float = 0.0
     q3_s: float = 0.0
+    #: Python calls made by one run of the timed section.
+    calls: int = 0
 
     @property
     def iqr_s(self):
@@ -60,19 +65,9 @@ class BenchResult:
             return 0.0
         return self.units / self.median_s
 
-    @classmethod
-    def from_trials(cls, bench, trials_s, units):
-        q1, q3 = quartiles(trials_s)
-        return cls(
-            name=bench.name,
-            kind=bench.kind,
-            unit=bench.unit,
-            units=units,
-            trials_s=list(trials_s),
-            median_s=statistics.median(trials_s),
-            q1_s=q1,
-            q3_s=q3,
-        )
+    @property
+    def calls_per_unit(self):
+        return self.calls / self.units if self.units else 0.0
 
     def to_dict(self):
         return {
@@ -85,6 +80,8 @@ class BenchResult:
             "q3_s": round(self.q3_s, 6),
             "iqr_s": round(self.iqr_s, 6),
             "steps_per_sec": round(self.steps_per_sec, 1),
+            "calls": self.calls,
+            "calls_per_unit": round(self.calls_per_unit, 4),
         }
 
 
@@ -104,6 +101,10 @@ def run_benchmark(bench, trials=5, warmup=1, timer=time.perf_counter):
     (untimed) and times only the returned callable. The unit count must
     be identical across trials -- a drifting count means the benchmark
     is not deterministic, which would poison steps/sec comparisons.
+
+    After the trials, one more fresh scenario runs, untimed, under
+    cProfile, and :class:`~repro.perf.profile.ProfileReport` counts its
+    calls.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -125,20 +126,33 @@ def run_benchmark(bench, trials=5, warmup=1, timer=time.perf_counter):
                 f"trial did {count} {bench.unit}, previous trials did {units}"
             )
         timings.append(elapsed)
-    return BenchResult.from_trials(bench, timings, units or 0)
+    profile = cProfile.Profile()
+    profile.runcall(bench.make())
+    q1, q3 = quartiles(timings)
+    return BenchResult(
+        name=bench.name,
+        kind=bench.kind,
+        unit=bench.unit,
+        units=units or 0,
+        trials_s=timings,
+        median_s=statistics.median(timings),
+        q1_s=q1,
+        q3_s=q3,
+        calls=ProfileReport.from_profile(profile).calls,
+    )
 
 
 def render_results(results):
     """An aligned text table of :class:`BenchResult` rows."""
     header = (
         f"{'benchmark':28s} {'kind':5s} {'median':>10s} {'iqr':>10s} "
-        f"{'steps/s':>12s} {'units':>10s}"
+        f"{'steps/s':>12s} {'calls/unit':>10s} {'units':>10s}"
     )
     lines = [header, "-" * len(header)]
     for res in results:
         lines.append(
             f"{res.name:28s} {res.kind:5s} {res.median_s:9.4f}s "
             f"{res.iqr_s:9.4f}s {res.steps_per_sec:12.0f} "
-            f"{res.units:>10d} {res.unit}"
+            f"{res.calls_per_unit:10.2f} {res.units:>10d} {res.unit}"
         )
     return "\n".join(lines)

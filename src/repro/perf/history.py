@@ -2,10 +2,8 @@
 
 One file per bench invocation, named after the commit that produced it,
 embedding the machine/python fingerprint -- the benchmark *trajectory*
-across PRs is the set of these files, and
-:mod:`repro.perf.compare` renders the verdict between any two of them
-(or against the committed budget baseline,
-``benchmarks/bench_baseline.json``).
+across PRs is the set of these files (``benchmarks/history/``), and
+:mod:`repro.perf.compare` renders the verdict between any two of them.
 """
 
 import json
@@ -48,10 +46,14 @@ def write_history(payload, out_dir=".", path=None):
 
 
 def load_history(path):
-    """Load and minimally validate one history (or baseline) file."""
+    """Load and minimally validate one history file.
+
+    Raises ``OSError`` for an unreadable file and ``ValueError`` for
+    one that is not a bench history file.
+    """
     with open(path) as handle:
         payload = json.load(handle)
-    benchmarks = payload.get("benchmarks")
+    benchmarks = payload.get("benchmarks") if isinstance(payload, dict) else None
     if not isinstance(benchmarks, dict):
         raise ValueError(f"{path}: not a bench history file (no 'benchmarks')")
     for name, entry in benchmarks.items():

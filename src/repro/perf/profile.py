@@ -91,6 +91,8 @@ class ProfileReport:
 
     #: Total profiled time: the sum of every function's own time.
     total_s: float = 0.0
+    #: Python calls profiled: the sum over every raw entry.
+    calls: int = 0
     #: Subsystem label -> seconds of own time. Sums to ``total_s``.
     subsystems: dict = field(default_factory=dict)
     #: Top-N functions by own time.
@@ -119,10 +121,12 @@ class ProfileReport:
             row[1] += entry.inlinetime
             row[2] += entry.totaltime
         total = 0.0
+        calls = 0
         subsystems = {}
         rows = []
         for (filename, lineno, funcname), (nc, tt, ct) in merged.items():
             total += tt
+            calls += nc
             label = classify(filename)
             subsystems[label] = subsystems.get(label, 0.0) + tt
             rows.append(
@@ -137,11 +141,12 @@ class ProfileReport:
                 }
             )
         rows.sort(key=lambda row: row["tottime_s"], reverse=True)
-        return cls(total_s=total, subsystems=subsystems, hot=rows[:top])
+        return cls(total_s=total, calls=calls, subsystems=subsystems, hot=rows[:top])
 
     def to_dict(self):
         return {
             "total_s": round(self.total_s, 6),
+            "calls": self.calls,
             "subsystems": {
                 label: round(seconds, 6)
                 for label, seconds in sorted(

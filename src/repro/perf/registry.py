@@ -250,7 +250,7 @@ def _make_morph_trigger():
 # ----------------------------------------------------------------------
 # macro benchmark scenarios (paper case studies, end to end)
 # ----------------------------------------------------------------------
-#: Fig. 18 at the speed-smoke scale the repo has tracked since PR 1.
+#: Fig. 18 at the small scale every committed history file has timed.
 FIG18_PARAMS = {
     "n_buckets": 64,
     "nodes_per_bucket": 32,

@@ -1,9 +1,14 @@
 """The benchmark registry and runner (repro.perf.bench / .registry)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.experiments.cli as cli
 from repro.perf import registry
 from repro.perf.bench import Benchmark, BenchResult, quartiles, run_benchmark
@@ -73,7 +78,8 @@ class TestRunBenchmark:
     def test_warmup_and_trials_each_get_fresh_setup(self):
         bench, calls = self._counting_bench()
         result = run_benchmark(bench, trials=3, warmup=2)
-        assert calls == {"make": 5, "run": 5}
+        # ... and one more, untimed, for the call count
+        assert calls == {"make": 6, "run": 6}
         assert len(result.trials_s) == 3
         assert result.units == 7
 
@@ -107,6 +113,26 @@ class TestRunBenchmark:
 
     def test_quartiles_degenerate_single_sample(self):
         assert quartiles([3.0]) == (3.0, 3.0)
+
+    def test_calls_repeat_across_runs_and_hash_seeds(self):
+        def calls():
+            bench = registry.get("morph.trigger")
+            return run_benchmark(bench, trials=1, warmup=0).calls
+
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        script = (
+            "from repro.perf import registry\n"
+            "from repro.perf.bench import run_benchmark\n"
+            "bench = registry.get('morph.trigger')\n"
+            "print(run_benchmark(bench, trials=1, warmup=0).calls)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        assert calls() == calls() == int(out) > 0
 
     def test_micro_benchmark_executes_with_declared_units(self):
         result = run_benchmark(registry.get("morph.trigger"), trials=1, warmup=0)
@@ -208,6 +234,7 @@ class TestBenchCli:
         assert entry["median_s"] > 0
         assert entry["steps_per_sec"] > 0
         assert "iqr_s" in entry
+        assert entry["calls"] > 0
 
     def test_bench_unknown_filter_is_usage_error(self, capsys):
         assert cli.main(["bench", "--filter", "nope-nothing"]) == 2
@@ -216,22 +243,45 @@ class TestBenchCli:
     def test_bench_too_many_compare_paths(self, capsys):
         assert cli.main(["bench", "--compare", "a", "b", "c"]) == 2
 
+    def test_bad_baseline_is_usage_error_before_any_run(self, tmp_path, capsys):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text("[]")
+        for baseline in (tmp_path / "missing.json", malformed):
+            argv = ["bench", "--filter", "noc", "--out", str(tmp_path)]
+            assert cli.main(argv + ["--compare", str(baseline)]) == 2
+            captured = capsys.readouterr()
+            assert str(baseline) in captured.err
+            assert "noc.hop" not in captured.out  # nothing ran
+        assert not list(tmp_path.glob("BENCH_*.json"))
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_bad_trials_is_usage_error(self, trials, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["bench", "--trials", trials])
+        assert excinfo.value.code == 2  # argparse usage error, not a traceback
+        assert "--trials must be >= 1" in capsys.readouterr().err
+
 
 class TestSpeedSmokeBaseline:
-    """The committed budget baseline must cover the smoke benchmarks."""
+    """CI's bench job gates on the newest committed history file."""
+
+    @staticmethod
+    def _newest():
+        history = Path(__file__).resolve().parents[1] / "benchmarks" / "history"
+        return max(
+            (load_history(str(path)) for path in history.glob("BENCH_*.json")),
+            key=lambda payload: payload["created"],
+        )
 
     def test_baseline_covers_full_registry(self):
-        import benchmarks.test_sim_speed as smoke
-
-        budgets = json.loads(smoke.BASELINE_PATH.read_text())["benchmarks"]
+        benchmarks = self._newest()["benchmarks"]
         for name in registry.names():
-            assert name in budgets, f"bench_baseline.json missing {name}"
-            assert budgets[name]["median_s"] > 0
-        for name in smoke.SMOKE_BENCHMARKS:
-            assert name in budgets
+            entry = benchmarks[name]
+            assert entry["median_s"] > 0, name
+            assert entry["calls"] > 0, name
+            assert entry["calls_per_unit"] > 0, name
 
     def test_baseline_loads_as_history_file(self):
-        import benchmarks.test_sim_speed as smoke
-
-        payload = load_history(str(smoke.BASELINE_PATH))
-        assert payload["kind"] == "leviathan-bench-baseline"
+        payload = self._newest()
+        assert payload["kind"] == "leviathan-bench"
+        assert payload["fingerprint"]["python"]

@@ -1,16 +1,11 @@
-"""The noise-aware regression verdict engine (repro.perf.compare)."""
+"""The regression verdict engine (repro.perf.compare)."""
 
 import json
 
 import pytest
 
 import repro.experiments.cli as cli
-from repro.perf.compare import (
-    DEFAULT_FACTOR,
-    compare,
-    has_regression,
-    render_verdicts,
-)
+from repro.perf.compare import compare, has_regression, render_verdicts
 
 
 def payload(**benchmarks):
@@ -23,8 +18,14 @@ def payload(**benchmarks):
     }
 
 
-def one_verdict(old, new, factor=DEFAULT_FACTOR):
-    verdicts = compare(old, new, factor=factor)
+def calls_payload(calls_per_unit, python="3.11.7"):
+    """One benchmark ``b`` with calls per unit, recorded on ``python``."""
+    entry = {"median_s": 1.0, "calls_per_unit": calls_per_unit}
+    return {"fingerprint": {"python": python}, "benchmarks": {"b": entry}}
+
+
+def one_verdict(old, new):
+    verdicts = compare(old, new)
     assert len(verdicts) == 1
     return verdicts[0]
 
@@ -32,26 +33,26 @@ def one_verdict(old, new, factor=DEFAULT_FACTOR):
 class TestVerdicts:
     def test_regression_needs_both_magnitude_and_iqr(self):
         old = payload(b=(1.0, 0.9, 1.1))
-        verdict = one_verdict(old, payload(b=(3.0, 2.9, 3.1)))
+        verdict = one_verdict(old, payload(b=(3.5, 3.4, 3.6)))
         assert verdict.status == "REGRESSION"
-        assert verdict.ratio == pytest.approx(3.0)
-        assert "IQR" in verdict.note
+        assert verdict.ratio == pytest.approx(3.5)
+        assert "3x baseline" in verdict.note and "q3" in verdict.note
 
     def test_slowdown_below_factor_is_ok(self):
-        # 1.5x the baseline median and above q3, but under the 2x
+        # 2.9x the baseline median and above q3, but under the 3x
         # magnitude threshold: jitter, not a verdict.
         old = payload(b=(1.0, 0.9, 1.1))
-        assert one_verdict(old, payload(b=(1.5, 1.4, 1.6))).status == "ok"
+        assert one_verdict(old, payload(b=(2.9, 2.8, 3.0))).status == "ok"
 
     def test_slowdown_within_baseline_iqr_is_ok(self):
-        # A wildly noisy baseline whose own trials spread past 2x the
+        # A wildly noisy baseline whose own trials spread past 3x the
         # median: the magnitude test alone would cry regression.
-        old = payload(b=(1.0, 0.5, 2.6))
-        assert one_verdict(old, payload(b=(2.5, 2.4, 2.6))).status == "ok"
+        old = payload(b=(1.0, 0.5, 4.0))
+        assert one_verdict(old, payload(b=(3.5, 3.4, 3.6))).status == "ok"
 
     def test_faster_is_symmetric(self):
         old = payload(b=(1.0, 0.9, 1.1))
-        verdict = one_verdict(old, payload(b=(0.4, 0.3, 0.5)))
+        verdict = one_verdict(old, payload(b=(0.3, 0.2, 0.4)))
         assert verdict.status == "faster"
 
     def test_small_speedup_is_ok(self):
@@ -66,15 +67,9 @@ class TestVerdicts:
         assert verdicts["added"].status == "new"
         assert not has_regression(list(verdicts.values()))
 
-    def test_custom_factor(self):
-        old = payload(b=(1.0, 0.9, 1.1))
-        new = payload(b=(1.6, 1.5, 1.7))
-        assert one_verdict(old, new, factor=1.5).status == "REGRESSION"
-        assert one_verdict(old, new, factor=2.0).status == "ok"
-
     def test_missing_iqr_falls_back_to_median(self):
         old = {"benchmarks": {"b": {"median_s": 1.0}}}
-        new = payload(b=(3.0, 2.9, 3.1))
+        new = payload(b=(3.5, 3.4, 3.6))
         assert one_verdict(old, new).status == "REGRESSION"
 
     def test_zero_baseline_median_never_regresses(self):
@@ -84,13 +79,49 @@ class TestVerdicts:
         assert verdict.ratio is None
 
 
+class TestCallsVerdict:
+    def test_calls_rise_over_one_percent_is_regression(self):
+        # Another patch release of the same minor still compares calls.
+        old = calls_payload(10.0, python="3.11.2")
+        verdict = one_verdict(old, calls_payload(10.15))
+        assert verdict.status == "REGRESSION"
+        assert "calls per unit" in verdict.note
+        assert (verdict.old_calls, verdict.new_calls) == (10.0, 10.15)
+
+    def test_calls_rise_under_one_percent_is_ok(self):
+        verdict = one_verdict(calls_payload(10.0), calls_payload(10.05))
+        assert verdict.status == "ok"
+        assert verdict.note == ""
+
+    @pytest.mark.parametrize(
+        "old, reason",
+        [
+            (
+                calls_payload(10.0, python="3.12.1"),
+                "baseline Python 3.12, current 3.11",
+            ),
+            (payload(b=(1.0, 1.0, 1.0)), "baseline Python ?, current 3.11"),
+            (calls_payload(None), "no calls in the baseline"),
+        ],
+        ids=["other-minor", "no-fingerprint", "no-calls"],
+    )
+    def test_calls_not_compared_and_said_so(self, old, reason):
+        verdict = one_verdict(old, calls_payload(15.0))
+        assert verdict.status == "ok"
+        assert verdict.note == f"calls not compared: {reason}"
+        assert verdict.old_calls is None and verdict.new_calls is None
+
+
 class TestRender:
     def test_render_mentions_counts_and_rule(self):
         old = payload(bad=(1.0, 0.9, 1.1), fine=(1.0, 0.9, 1.1))
         new = payload(bad=(9.0, 8.9, 9.1), fine=(1.0, 0.9, 1.1))
         text = render_verdicts(compare(old, new))
-        assert "1 regression(s) at factor 2" in text
-        assert "median beyond factor AND outside baseline IQR" in text
+        assert "1 regression(s)" in text
+        assert (
+            "calls per unit more than 1% over baseline, "
+            "or median beyond 3x baseline AND above its q3"
+        ) in text
         assert "REGRESSION" in text
         assert "9.00x" in text
 
@@ -117,11 +148,13 @@ class TestCompareCli:
         assert cli.main(["bench", "--compare", old, new]) == 0
         assert "0 regression(s)" in capsys.readouterr().out
 
-    def test_factor_flag_reaches_verdict(self, tmp_path, capsys):
-        old = self._write(tmp_path, "old.json", b=(1.0, 0.9, 1.1))
-        new = self._write(tmp_path, "new.json", b=(1.6, 1.5, 1.7))
-        assert cli.main(["bench", "--compare", old, new, "--factor", "1.5"]) == 1
-        assert "factor 1.5" in capsys.readouterr().out
+    def test_calls_regression_exits_nonzero(self, tmp_path, capsys):
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps(calls_payload(10.0)))
+        new.write_text(json.dumps(calls_payload(10.5)))
+        assert cli.main(["bench", "--compare", str(old), str(new)]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION  (calls per unit 10.50 > baseline 10.00 + 1%)" in out
 
     def test_run_then_compare_against_fresh_self_passes(self, tmp_path, capsys):
         """Running one cheap benchmark and comparing against a baseline

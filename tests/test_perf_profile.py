@@ -154,6 +154,7 @@ class TestRawEntries:
             if row["function"] == "__init__" and row["module"] == "<string>"
         ]
         assert sum(row["calls"] for row in inits) == 2000
+        assert report.calls == sum(row["calls"] for row in report.hot)
         own = sum(entry.inlinetime for entry in profile.getstats())
         assert report.total_s == pytest.approx(own)
 
