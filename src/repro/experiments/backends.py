@@ -6,10 +6,10 @@ owns *mechanism*: where a job dict actually executes and how its
 worker can be observed and killed. Two local backends ship today:
 
 - :class:`LocalInlineBackend` executes jobs synchronously in the
-  calling process -- the ``jobs=1`` fast path used by tests and
-  benchmarks. Nothing to kill, no deadline enforcement (a blocking
-  call cannot be preempted), bit-identical to calling the worker
-  function directly.
+  calling process -- the pool's choice when one job at a time is all
+  there is and nothing needs killing. Nothing to kill, no deadline
+  enforcement (a blocking call cannot be preempted), bit-identical to
+  calling the worker function directly.
 - :class:`LocalProcessBackend` keeps up to N long-lived worker
   processes (forked where available), each with a pipe to the
   supervisor, and sends every job to an idle one. A sweep of many
@@ -118,7 +118,7 @@ class ExecutorBackend:
 
 
 class LocalInlineBackend(ExecutorBackend):
-    """Synchronous execution in the calling process (``jobs=1``)."""
+    """Synchronous execution in the calling process, one job at a time."""
 
     name = "local-inline"
     supports_kill = False
@@ -292,29 +292,23 @@ class LocalProcessBackend(ExecutorBackend):
         self._running.clear()
 
 
-#: Registered backend names (``auto`` picks per job count).
+#: Registered backend names.
 BACKENDS = {
     "local-inline": LocalInlineBackend,
     "local-process": LocalProcessBackend,
 }
 
 
-def make_backend(backend, jobs):
-    """Resolve ``backend`` (name, instance, or None/'auto') for ``jobs``.
-
-    ``None``/``"auto"`` keeps the pool's historical behavior: inline
-    for a single worker, worker processes otherwise.
-    """
+def make_backend(backend):
+    """Resolve ``backend`` (a registered name or an instance)."""
     if isinstance(backend, ExecutorBackend):
         return backend
-    if backend is None or backend == "auto":
-        return LocalInlineBackend() if jobs <= 1 else LocalProcessBackend()
     try:
         return BACKENDS[backend]()
     except KeyError:
         raise ValueError(
             f"unknown executor backend {backend!r}; "
-            f"known: auto, {', '.join(sorted(BACKENDS))}"
+            f"known: {', '.join(sorted(BACKENDS))}"
         ) from None
 
 

@@ -7,15 +7,14 @@ Simulation runs execute on an :class:`~repro.experiments.pool.
 ExperimentPool`: ``--jobs N`` fans independent runs out over worker
 processes (default: one per CPU), results are content-hash cached
 under ``--cache-dir`` (default ``results-cache/``, or
-``$LEVIATHAN_CACHE_DIR``), ``--resume`` replays a sweep's completed
-manifest entries after an interruption, and ``--no-cache`` forces
-re-execution. The pool is *supervised*: ``--run-timeout`` puts a
-wall-clock deadline on every run, transient failures (killed, hung,
-or timed-out workers) are retried with backoff up to ``--run-retries``
-attempts, corrupt cache entries are quarantined and re-executed, and
-Ctrl-C drains gracefully (manifest intact; ``--resume`` continues).
-``--backend`` selects the executor backend. See
-``docs/experiments.md``.
+``$LEVIATHAN_CACHE_DIR``), so rerunning an interrupted sweep executes
+only what is missing, and ``--no-cache`` forces re-execution. The pool
+is *supervised*: ``--run-timeout`` puts a wall-clock deadline on every
+run (even under ``--jobs 1``, which then runs in a worker process),
+transient failures (killed, hung, or timed-out workers) are retried
+with backoff up to ``--run-retries`` attempts, corrupt cache entries
+are quarantined and re-executed, and Ctrl-C drains gracefully
+(manifest intact; rerunning continues). See ``docs/experiments.md``.
 
 ``--telemetry-out DIR`` additionally captures telemetry (Perfetto
 trace + metrics snapshot) for every machine each run builds, under
@@ -150,28 +149,13 @@ def main(argv=None):
         help="ignore cached results and re-execute every run",
     )
     parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue an interrupted sweep: serve the runs the cache "
-        "manifest records ok from their cache entries, even under "
-        "--no-cache. With the cache on, a plain rerun does the same; a "
-        "sweep run with --no-cache wrote no entries to serve",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="executor backend: 'auto' (default: inline for one worker, "
-        "long-lived worker processes otherwise), 'local-inline', or "
-        "'local-process'",
-    )
-    parser.add_argument(
         "--run-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
         help="wall-clock deadline per run; an over-deadline worker is "
-        "killed and the run retried as a transient failure",
+        "killed and the run retried as a transient failure (runs go to "
+        "worker processes, even with --jobs 1)",
     )
     parser.add_argument(
         "--run-retries",
@@ -261,7 +245,7 @@ def main(argv=None):
         metavar="FILE",
         help="one file: run the suite, then compare against this baseline; "
         "two files: compare OLD NEW without running anything. "
-        "Exits 1 on a regression: calls per unit more than 1%% over the "
+        "Exits 1 on a regression: calls per unit more than 0.5%% over the "
         "baseline's, or a median beyond 3x the baseline's and its q3.",
     )
     args = parser.parse_args(argv)
@@ -349,13 +333,11 @@ def main(argv=None):
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         cache=not args.no_cache,
-        resume=args.resume,
         telemetry_dir=args.telemetry_out,
         profile_dir=args.profile,
         faults=args.faults,
         flightrec=args.flight_recorder,
         log_path=args.log,
-        backend=args.backend,
         retry=retry,
         run_timeout=args.run_timeout,
     )
@@ -372,7 +354,7 @@ def main(argv=None):
             experiment = _EXPERIMENTS[name][0](pool=pool)
         except SweepInterrupted as exc:
             # Graceful drain already happened (manifest flushed and
-            # fsynced); exit nonzero with the resume hint.
+            # fsynced); exit nonzero with the rerun hint.
             print(f"\ninterrupted: {exc}", file=sys.stderr)
             return 130
         except Exception as exc:  # workload crashed (chaos runs do this)

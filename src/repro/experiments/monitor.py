@@ -23,8 +23,8 @@ written. This module opens three windows into a running fleet:
 
 - **``leviathan-repro status <dir>``** (:func:`render_status`): tails
   the heartbeats and the manifest journal of a sweep *from another
-  terminal*, reporting per-run progress, completed/cached/failed
-  counts, and stale workers (heartbeat older than
+  terminal*, reporting per-run progress, ok/failed counts of the
+  executed runs, and stale workers (heartbeat older than
   ``STALE_AFTER_INTERVALS`` x its own cadence -- the signature of a
   hung or killed worker).
 """
@@ -295,16 +295,11 @@ def summarize_sweep(root, now=None):
     now = time.time() if now is None else now
     manifest = read_manifest(root)
     finished_hashes = {entry.get("hash") for entry in manifest}
-    counts = {"ok": 0, "error": 0, "cached": 0}
+    counts = {"ok": 0, "error": 0}
     retries = 0
     for entry in manifest:
         retries += max(0, int(entry.get("attempts", 1) or 1) - 1)
-        if entry.get("cached"):
-            counts["cached"] += 1
-        elif entry.get("status") == "ok":
-            counts["ok"] += 1
-        else:
-            counts["error"] += 1
+        counts["ok" if entry.get("status") == "ok" else "error"] += 1
     running, stale, finished_beats = [], [], []
     for beat in read_heartbeats(root):
         if beat.get("hash") in finished_hashes:
@@ -365,7 +360,7 @@ def render_status(root, now=None):
     counts = summary["counts"]
     manifest_line = (
         f"  manifest: {summary['manifest_entries']} entr(ies) -- "
-        f"{counts['ok']} ok, {counts['cached']} cached, {counts['error']} failed"
+        f"{counts['ok']} ok, {counts['error']} failed"
     )
     if summary["retries"]:
         manifest_line += f", {summary['retries']} retried"

@@ -1,12 +1,13 @@
-"""Parallel, cache-aware, resumable execution of experiment sweeps.
+"""Parallel, cache-aware execution of experiment sweeps.
 
 The paper's evaluation is dozens of *independent* simulator runs
 (figure grids, sensitivity sweeps, ablations). This module turns each
 sweep into a flat list of :class:`RunSpec` entries -- one simulator
 execution each -- and executes them on a worker pool:
 
-- ``jobs=1`` runs specs inline in this process (the default for direct
-  calls from tests and benchmarks); ``jobs>1`` sends them to up to
+- When one run at a time is all there is (``jobs=1``, or a single
+  pending spec) and no deadline or hang detection needs a run killed,
+  specs execute inline in this process; otherwise they go to up to
   ``jobs`` long-lived worker processes, one run per worker at a time.
 - Every spec is content-hashed (function path + canonicalized kwargs +
   the armed fault plan); completed results are written to
@@ -15,10 +16,11 @@ execution each -- and executes them on a worker pool:
   sweeps are free (Figs. 20 and 21 share the HATS study through the
   cache rather than through ad-hoc memoization) and results of other
   code never come back.
-- An append-only ``<cache-dir>/manifest.jsonl`` journals every spec as
-  it completes, so an interrupted sweep resumes with ``resume=True`` by
-  skipping hashes the journal already records (a truncated final line
-  -- the signature of a kill mid-write -- is tolerated and ignored).
+- An append-only ``<cache-dir>/manifest.jsonl`` journals every executed
+  spec as it completes, after its cache entry is written; cache hits
+  add no line. Rerunning an interrupted sweep serves its finished runs
+  from the cache and executes the rest (a truncated final line -- the
+  signature of a kill mid-write -- is tolerated and ignored).
 - A crashed spec is recorded in the manifest (and as
   ``runs/<slug>/error.json`` when an artifact directory is configured),
   the rest of the sweep still executes, and
@@ -34,9 +36,9 @@ as fault-tolerant as PR 3 made the simulated machine:
   ``OSError``) vs *permanent* (the workload raised); transient ones
   are requeued with seeded exponential backoff up to
   ``RetryPolicy.max_attempts``, and the attempt count is journaled;
-- every run gets a wall-clock deadline (``RunSpec.deadline_s``, the
-  pool's ``run_timeout`` default, CLI ``--run-timeout``) enforced by
-  killing the worker -- a timeout is transient;
+- every run gets the pool's wall-clock deadline (``run_timeout``, CLI
+  ``--run-timeout``) enforced by killing the worker -- a timeout is
+  transient;
 - a run that has not beaten for ``hang_intervals`` beat intervals (aged
   from dispatch until its first beat) is declared hung: the worker is
   killed, a postmortem stub is written, and the run is requeued;
@@ -46,7 +48,7 @@ as fault-tolerant as PR 3 made the simulated machine:
 - SIGINT/SIGTERM drain gracefully: dispatching stops, queued work is
   cancelled, in-flight workers are killed, the (fsynced) manifest
   stays intact, and :class:`SweepInterrupted` tells the operator that
-  ``--resume`` continues the sweep.
+  rerunning the same command continues the sweep.
 
 Determinism is load-bearing: specs are pure functions of their kwargs,
 results are assembled in *spec order* (never completion order), and the
@@ -95,15 +97,11 @@ class RunSpec:
     human-readable sweep-local name used in the manifest and artifact
     directories; it is *excluded* from the content hash so overlapping
     sweeps that enumerate the same computation share a cache entry.
-    ``deadline_s`` is a per-run wall-clock deadline (None inherits the
-    pool's ``run_timeout``); like ``label`` it is host-side policy and
-    excluded from the content hash.
     """
 
     fn: str
     kwargs: dict = field(default_factory=dict)
     label: str = ""
-    deadline_s: float = None
 
 
 def _canonical(value):
@@ -257,7 +255,7 @@ def cache_entry_problem(payload):
 
 
 # ----------------------------------------------------------------------
-# the worker (runs inline for jobs=1, in a subprocess otherwise)
+# the worker (runs inline or in a worker process)
 # ----------------------------------------------------------------------
 def _execute_job(job):
     """Execute one spec; never raises -- errors become the outcome."""
@@ -399,8 +397,10 @@ class SweepInterrupted(RuntimeError):
     """The operator stopped the sweep (SIGINT/SIGTERM graceful drain).
 
     The manifest is flushed and fsynced before this is raised, so
-    every *finished* run is journaled; ``--resume`` re-executes only
-    what was still in flight or queued.
+    every *finished* run is journaled. Rerunning the same command
+    serves the finished runs from the cache and re-executes only what
+    was still in flight or queued -- except under ``--no-cache``, which
+    wrote no entries to serve.
     """
 
     def __init__(self, signame, done, total):
@@ -409,29 +409,28 @@ class SweepInterrupted(RuntimeError):
         self.total = total
         super().__init__(
             f"sweep interrupted by {signame}: {done}/{total} pending run(s) "
-            f"finished; the manifest is intact -- rerun with --resume to "
-            f"continue where it left off"
+            f"finished; the manifest is intact -- rerun the same command to "
+            f"resume (finished runs come from the cache, except under "
+            f"--no-cache)"
         )
 
 
 class ExperimentPool:
-    """Executes :class:`RunSpec` lists with caching, resume, and fan-out.
+    """Executes :class:`RunSpec` lists with caching and fan-out.
 
     Parameters
     ----------
     jobs:
-        Worker processes. ``1`` (or a single pending spec) executes
-        inline; ``None`` means ``os.cpu_count()``.
+        Runs in flight at once; ``None`` means ``os.cpu_count()``.
+        With more than one, a sweep on a TTY renders a live progress
+        line on stderr.
     cache_dir:
         Root of the result cache and manifest journal. ``None`` disables
         all disk state (results are still memoized in-process).
     cache:
         When False, existing ``<hash>.json`` entries are ignored and no
-        new ones are written (the manifest is still journaled).
-    resume:
-        Load the manifest and serve every spec it records as ``ok`` from
-        its cache entry -- even when ``cache=False`` -- so an interrupted
-        sweep re-executes only what is missing.
+        new ones are written (the manifest is still journaled), so a
+        rerun re-executes every spec.
     telemetry_dir:
         When set, every executed spec captures telemetry (and its fault
         report / error report) under ``<telemetry_dir>/runs/<slug>/``.
@@ -465,23 +464,20 @@ class ExperimentPool:
         ``<cache-dir>/heartbeats/``. ``None`` enables heartbeats at the
         default cadence only for multi-worker sweeps (``jobs > 1``);
         pass a number to force them on (needs a cache dir either way).
-    progress:
-        Render a live progress line on stderr while the sweep executes.
-        ``None`` auto-enables it for multi-worker sweeps on a TTY.
     backend:
         Executor backend: an :class:`~repro.experiments.backends.
-        ExecutorBackend` instance, a registered name
-        (``"local-inline"``, ``"local-process"``), or None/"auto" --
-        inline for one worker, long-lived worker processes otherwise.
+        ExecutorBackend` instance or a registered name
+        (``"local-inline"``, ``"local-process"``). ``None`` lets the
+        pool choose per batch (:meth:`_backend_for`).
     retry:
         The :class:`~repro.experiments.retry.RetryPolicy` for
         transient failures (worker killed, timeout, hang). ``None``
         uses the default policy; ``RetryPolicy(max_attempts=1)``
         disables retry.
     run_timeout:
-        Default per-run wall-clock deadline in seconds (a spec's own
-        ``deadline_s`` wins). None disables deadlines. Enforced only
-        on killable backends -- an inline run cannot be preempted.
+        Wall-clock deadline per run, in seconds; None disables
+        deadlines. A deadline sends every batch to worker processes,
+        which the pool can kill.
     hang_intervals:
         A run that has not beaten for this many beat intervals (counted
         from dispatch until its first beat) is declared hung: the
@@ -494,14 +490,12 @@ class ExperimentPool:
         jobs=None,
         cache_dir="results-cache",
         cache=True,
-        resume=False,
         telemetry_dir=None,
         profile_dir=None,
         faults=None,
         flightrec=None,
         log_path=None,
         heartbeat_interval=None,
-        progress=None,
         backend=None,
         retry=None,
         run_timeout=None,
@@ -516,8 +510,7 @@ class ExperimentPool:
         self.flightrec = int(flightrec) if flightrec else None
         self.log_path = log_path
         self.heartbeat_interval = heartbeat_interval
-        self.progress_mode = progress
-        self.backend = None if backend == "auto" else backend
+        self.backend = backend
         self.retry = retry if retry is not None else RetryPolicy()
         if not isinstance(self.retry, RetryPolicy):
             raise ValueError(f"retry must be a RetryPolicy, got {self.retry!r}")
@@ -548,13 +541,6 @@ class ExperimentPool:
         self._pending_total = 0
         self._log_handle = None
         self._interrupt = None
-        self._resumed = set()
-        if resume and cache_dir:
-            from repro.experiments.monitor import read_manifest
-
-            self._resumed = {
-                e.get("hash") for e in read_manifest(cache_dir) if e.get("status") == "ok"
-            }
         if log_path:
             self._log_handle = ensure_run_logging(log_path, run_id=self.run_id)
 
@@ -562,7 +548,7 @@ class ExperimentPool:
     def _manifest_path(self):
         return os.path.join(self.cache_dir, "manifest.jsonl")
 
-    def _append_manifest(self, outcome, cached):
+    def _append_manifest(self, outcome):
         if not self.cache_dir:
             return
         os.makedirs(self.cache_dir, exist_ok=True)
@@ -573,7 +559,6 @@ class ExperimentPool:
             "fn": outcome["fn"],
             "status": outcome["status"],
             "elapsed": outcome.get("elapsed", 0.0),
-            "cached": cached,
             "attempts": outcome.get("attempts", 1),
         }
         if outcome["status"] != "ok":
@@ -591,8 +576,8 @@ class ExperimentPool:
     def _heal_torn_manifest(self):
         """Terminate a torn final line (kill mid-append) before appending.
 
-        Without this, the first append of a resumed sweep would glue its
-        JSON onto the torn fragment and corrupt one more entry.
+        Without this, the first append of a rerun would glue its JSON
+        onto the torn fragment and corrupt one more entry.
         """
         if getattr(self, "_manifest_healed", False):
             return
@@ -609,10 +594,8 @@ class ExperimentPool:
             pass
 
     def _load_cached(self, digest):
-        if self.telemetry_dir or self.profile_dir:
-            return None  # artifacts require a fresh execution
-        if not self.cache_dir or not (self.cache or digest in self._resumed):
-            return None
+        if not self.cache or self.telemetry_dir or self.profile_dir:
+            return None  # off, or artifacts require a fresh execution
         try:
             with open(cache_entry_path(self.cache_dir, digest)) as handle:
                 payload = json.load(handle)
@@ -687,14 +670,6 @@ class ExperimentPool:
         if self.log_path:
             job["log_path"] = self.log_path
             job["run_id"] = self.run_id
-        deadline = spec.deadline_s if spec.deadline_s is not None else self.run_timeout
-        if deadline is not None:
-            if not float(deadline) > 0:
-                raise ValueError(
-                    f"deadline_s must be > 0 seconds, got {deadline!r} "
-                    f"for {job['label']}"
-                )
-            job["deadline_s"] = float(deadline)
         interval = self._heartbeat_interval()
         if interval is not None:
             from repro.experiments.monitor import heartbeat_dir
@@ -757,7 +732,6 @@ class ExperimentPool:
             if cached is not None:
                 self._memory[digest] = cached
                 self._bump("cached")
-                self._append_manifest(cached, cached=True)
                 continue
             queued.add(digest)
             pending.append(self._job(spec, digest))
@@ -790,37 +764,21 @@ class ExperimentPool:
     def _backend_for(self, pending):
         """The executor backend instance for this batch of jobs.
 
-        The inline fast path cannot preempt a running job, so it is
-        only taken when nothing needs preempting: with ``jobs > 1``, a
-        single pending run still gets a worker process whenever a
-        deadline or hang detection applies. ``jobs=1`` is an explicit
-        serial contract and stays inline -- with a warning when that
-        leaves a configured deadline unenforced.
+        Inline runs one job at a time and cannot preempt it, so the
+        batch runs inline only when one job at a time is all there is
+        (``jobs=1``, or a single pending run) and neither a deadline
+        nor hang detection needs a job killed; otherwise it gets worker
+        processes.
         """
-        supervised = self._needs_preemption(pending)
-        effective_jobs = self.jobs
-        if self.backend is None and (self.jobs == 1 or len(pending) == 1):
-            if self.jobs == 1:
-                effective_jobs = 1
-                if supervised:
-                    _log.warning(
-                        "pool.inline_unsupervised",
-                        extra={
-                            "detail": "jobs=1 runs inline; deadlines and "
-                            "hang kills cannot preempt a blocking call"
-                        },
-                    )
-            elif not supervised:
-                effective_jobs = 1  # historical fast path: inline
-        return make_backend(self.backend, effective_jobs)
-
-    def _needs_preemption(self, pending):
-        """Whether this batch relies on killing a running worker."""
-        if any(job.get("deadline_s") is not None for job in pending):
-            return True
-        return (
+        if self.backend is not None:
+            return make_backend(self.backend)
+        one_at_a_time = self.jobs == 1 or len(pending) == 1
+        needs_kill = self.run_timeout is not None or (
             self.hang_intervals is not None
             and self._heartbeat_interval() is not None
+        )
+        return make_backend(
+            "local-inline" if one_at_a_time and not needs_kill else "local-process"
         )
 
     def _execute_pending(self, pending):
@@ -925,10 +883,12 @@ class ExperimentPool:
         running[handle] = record
 
     def _enforce_deadlines(self, backend, running):
+        deadline = self.run_timeout
+        if deadline is None:
+            return
         now = time.monotonic()
         for handle, record in running.items():
-            deadline = record["job"].get("deadline_s")
-            if deadline is None or record["kill_reason"] is not None:
+            if record["kill_reason"] is not None:
                 continue
             elapsed = now - record["started"]
             if elapsed > deadline:
@@ -944,7 +904,7 @@ class ExperimentPool:
                         "hash": record["job"]["hash"],
                         "label": record["job"]["label"],
                         "attempt": record["attempt"],
-                        "deadline_s": deadline,
+                        "run_timeout": deadline,
                     },
                 )
                 backend.kill(handle, reason=retry_taxonomy.TIMEOUT)
@@ -1152,10 +1112,7 @@ class ExperimentPool:
     def _start_monitor(self):
         import sys
 
-        enabled = self.progress_mode
-        if enabled is None:
-            enabled = self.jobs > 1 and sys.stderr.isatty()
-        if not enabled or not self.cache_dir:
+        if not (self.jobs > 1 and self.cache_dir and sys.stderr.isatty()):
             return None
         from repro.experiments.monitor import PoolMonitor
 
@@ -1178,7 +1135,7 @@ class ExperimentPool:
             self._bump("failed")
             self.failures.append(outcome)
             self._write_error_artifact(outcome)
-        self._append_manifest(outcome, cached=False)
+        self._append_manifest(outcome)
 
     def _write_error_artifact(self, outcome):
         if not (self.telemetry_dir or self.profile_dir):

@@ -4,8 +4,8 @@ The zoo workloads (:mod:`repro.workloads.serving`) are not paper
 figures -- they are the generality claim of Sec. V exercised on
 serving- and storage-shaped traffic. Each ``run_serve_*`` enumerates
 its study into :class:`~repro.experiments.pool.RunSpec` entries,
-executes them on an experiment pool (parallel, cached, resumable like
-the figure sweeps), and checks:
+executes them on an experiment pool (parallel and cached like the
+figure sweeps), and checks:
 
 - functional equality against each workload's oracle (enforced inside
   the runs themselves -- a wrong answer raises);

@@ -126,6 +126,9 @@ def run_benchmark(bench, trials=5, warmup=1, timer=time.perf_counter):
                 f"trial did {count} {bench.unit}, previous trials did {units}"
             )
         timings.append(elapsed)
+    # Its own run, not shared with ``bench --profile``'s sampled run: on
+    # Python 3.12 cProfile also counts calls made on other threads, so
+    # a count taken there would include the stack sampler's calls.
     profile = cProfile.Profile()
     profile.runcall(bench.make())
     q1, q3 = quartiles(timings)

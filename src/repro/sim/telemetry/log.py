@@ -53,7 +53,6 @@ KNOWN_EVENTS = frozenset(
         "run.retry",  # transient failure requeued with backoff
         "run.timeout",  # wall-clock deadline exceeded; worker killed
         "run.hung",  # no heartbeat within the hang horizon; worker killed
-        "pool.inline_unsupervised",  # jobs=1 inline path cannot enforce deadlines
         "sweep.interrupted",  # SIGINT/SIGTERM graceful drain
         "cache.quarantined",  # corrupt cache entry moved aside
         # sweep aggregation

@@ -65,24 +65,17 @@ class TestWorkerDeath:
 
 
 class TestMakeBackend:
-    def test_auto_single_worker_is_inline(self):
-        assert isinstance(make_backend(None, 1), LocalInlineBackend)
-        assert isinstance(make_backend("auto", 1), LocalInlineBackend)
-
-    def test_auto_multi_worker_is_process(self):
-        assert isinstance(make_backend(None, 4), LocalProcessBackend)
-
     def test_named(self):
         for name, cls in BACKENDS.items():
-            assert isinstance(make_backend(name, 4), cls)
+            assert isinstance(make_backend(name), cls)
 
     def test_instance_passthrough(self):
         backend = LocalInlineBackend()
-        assert make_backend(backend, 8) is backend
+        assert make_backend(backend) is backend
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown executor backend"):
-            make_backend("ssh-farm", 4)
+            make_backend("ssh-farm")
 
     def test_abstract_contract(self):
         backend = ExecutorBackend()
@@ -212,7 +205,6 @@ class TestWorkerLifecycle:
             jobs=2,
             cache_dir=str(tmp_path / "c"),
             backend="local-process",
-            progress=False,
         )
         pids = pool.run_results(
             [RunSpec(_PID, {"tag": f"p{i}"}, f"life/{i}") for i in range(4)]

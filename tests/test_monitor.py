@@ -135,11 +135,11 @@ class TestStatus:
         with open(os.path.join(str(tmp_path), "manifest.jsonl"), "w") as handle:
             handle.write(
                 json.dumps({"hash": "d" * 24, "label": "done/0", "status": "ok",
-                            "cached": False, "elapsed": 1.0}) + "\n"
+                            "elapsed": 1.0}) + "\n"
             )
             handle.write('{"torn": "mid-appe')  # killed mid-append
         summary = summarize_sweep(str(tmp_path))
-        assert summary["counts"] == {"ok": 1, "error": 0, "cached": 0}
+        assert summary["counts"] == {"ok": 1, "error": 0}
         assert [b["label"] for b in summary["running"]] == ["live/0"]
         text, ok = render_status(str(tmp_path))
         assert ok
@@ -161,7 +161,7 @@ class TestStatus:
         with open(os.path.join(str(tmp_path), "manifest.jsonl"), "w") as handle:
             handle.write(
                 json.dumps({"hash": beat["hash"], "label": beat["label"],
-                            "status": "ok", "cached": False}) + "\n"
+                            "status": "ok"}) + "\n"
             )
         summary = summarize_sweep(str(tmp_path))
         assert not summary["running"]
@@ -171,7 +171,6 @@ class TestStatus:
         with open(os.path.join(str(tmp_path), "manifest.jsonl"), "w") as handle:
             handle.write(
                 json.dumps({"hash": "e" * 24, "label": "bad/0", "status": "error",
-                            "cached": False,
                             "error": {"type": "DeadlockError", "message": "stuck"}})
                 + "\n"
             )
@@ -186,7 +185,6 @@ class TestLiveSweep:
             jobs=2,
             cache_dir=str(tmp_path),
             heartbeat_interval=0.05,
-            progress=False,
         )
         specs = [
             RunSpec(
@@ -321,9 +319,9 @@ class TestRetriesInStatus:
         self._manifest(
             tmp_path,
             [
-                {"hash": "a" * 24, "status": "ok", "attempts": 3, "cached": False},
-                {"hash": "b" * 24, "status": "ok", "attempts": 1, "cached": False},
-                {"hash": "c" * 24, "status": "error", "attempts": 2, "cached": False},
+                {"hash": "a" * 24, "status": "ok", "attempts": 3},
+                {"hash": "b" * 24, "status": "ok", "attempts": 1},
+                {"hash": "c" * 24, "status": "error", "attempts": 2},
             ],
         )
         summary = summarize_sweep(str(tmp_path))
@@ -332,7 +330,7 @@ class TestRetriesInStatus:
     def test_status_renders_retry_count(self, tmp_path):
         self._manifest(
             tmp_path,
-            [{"hash": "a" * 24, "status": "ok", "attempts": 2, "cached": False}],
+            [{"hash": "a" * 24, "status": "ok", "attempts": 2}],
         )
         text, ok = render_status(str(tmp_path))
         assert ok and "1 retried" in text
@@ -340,7 +338,7 @@ class TestRetriesInStatus:
     def test_status_omits_retries_when_none(self, tmp_path):
         self._manifest(
             tmp_path,
-            [{"hash": "a" * 24, "status": "ok", "attempts": 1, "cached": False}],
+            [{"hash": "a" * 24, "status": "ok", "attempts": 1}],
         )
         text, ok = render_status(str(tmp_path))
         assert ok and "retried" not in text

@@ -80,16 +80,17 @@ class TestVerdicts:
 
 
 class TestCallsVerdict:
-    def test_calls_rise_over_one_percent_is_regression(self):
+    def test_calls_rise_over_half_a_percent_is_regression(self):
         # Another patch release of the same minor still compares calls.
         old = calls_payload(10.0, python="3.11.2")
-        verdict = one_verdict(old, calls_payload(10.15))
+        verdict = one_verdict(old, calls_payload(10.06))
         assert verdict.status == "REGRESSION"
-        assert "calls per unit" in verdict.note
-        assert (verdict.old_calls, verdict.new_calls) == (10.0, 10.15)
+        assert "calls per unit 10.06 > baseline 10.00 + 0.5%" in verdict.note
+        assert (verdict.old_calls, verdict.new_calls) == (10.0, 10.06)
 
-    def test_calls_rise_under_one_percent_is_ok(self):
-        verdict = one_verdict(calls_payload(10.0), calls_payload(10.05))
+    def test_calls_rise_under_half_a_percent_is_ok(self):
+        # Not +0.5% itself: 10.0 * 1.005 is below 10.05 in floating point.
+        verdict = one_verdict(calls_payload(10.0), calls_payload(10.03))
         assert verdict.status == "ok"
         assert verdict.note == ""
 
@@ -119,7 +120,7 @@ class TestRender:
         text = render_verdicts(compare(old, new))
         assert "1 regression(s)" in text
         assert (
-            "calls per unit more than 1% over baseline, "
+            "calls per unit more than 0.5% over baseline, "
             "or median beyond 3x baseline AND above its q3"
         ) in text
         assert "REGRESSION" in text
@@ -154,7 +155,7 @@ class TestCompareCli:
         new.write_text(json.dumps(calls_payload(10.5)))
         assert cli.main(["bench", "--compare", str(old), str(new)]) == 1
         out = capsys.readouterr().out
-        assert "REGRESSION  (calls per unit 10.50 > baseline 10.00 + 1%)" in out
+        assert "REGRESSION  (calls per unit 10.50 > baseline 10.00 + 0.5%)" in out
 
     def test_run_then_compare_against_fresh_self_passes(self, tmp_path, capsys):
         """Running one cheap benchmark and comparing against a baseline

@@ -1,4 +1,4 @@
-"""The experiment pool: hashing, caching, resume, determinism, errors.
+"""The experiment pool: hashing, caching, reruns, determinism, errors.
 
 The determinism test is the load-bearing one: a parallel sweep
 (``jobs=4``) must produce bit-identical figure data to an inline sweep
@@ -183,7 +183,7 @@ class TestDeterminism:
 
         def one_worker():
             return ExperimentPool(
-                jobs=1, cache_dir=None, backend="local-process", progress=False
+                jobs=1, cache_dir=None, backend="local-process"
             )
 
         alone = [one_worker().run([spec])[0]["result"] for spec in specs]
@@ -256,13 +256,28 @@ class TestCaching:
         assert [e["status"] for e in entries] == ["ok"] * 3
         assert [e["label"] for e in entries] == ["cheap/on", "cheap/off", "cheap/fifo0"]
 
-
-class TestResume:
-    def test_resume_after_kill_reexecutes_only_the_torn_run(self, tmp_path):
-        """A manifest truncated mid-append (kill) replays all but that run."""
+    def test_warm_rerun_appends_no_manifest_line(self, tmp_path):
+        """The manifest journals executed runs; cache hits add nothing."""
         cache = tmp_path / "cache"
         specs = _cheap_specs()
         ExperimentPool(jobs=1, cache_dir=str(cache)).run_results(specs)
+        manifest = cache / "manifest.jsonl"
+        journal = manifest.read_text()
+        rerun = ExperimentPool(jobs=1, cache_dir=str(cache))
+        rerun.run_results(specs)
+        assert rerun.consume_report() == {"cached": len(specs)}
+        assert manifest.read_text() == journal
+
+
+class TestRerun:
+    """An interrupted sweep resumes by running it again."""
+
+    def test_rerun_after_kill_mid_append_executes_nothing(self, tmp_path):
+        """A kill during a manifest append tears only that line: the run's
+        cache entry was written before it, so the rerun serves the run."""
+        cache = tmp_path / "cache"
+        specs = _cheap_specs()
+        first = ExperimentPool(jobs=1, cache_dir=str(cache)).run_results(specs)
 
         # Simulate a kill during the final manifest append: the last
         # line is torn mid-JSON.
@@ -270,31 +285,24 @@ class TestResume:
         lines = manifest.read_text().splitlines()
         manifest.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2])
 
-        resumed = ExperimentPool(
-            jobs=1, cache_dir=str(cache), cache=False, resume=True
-        )
-        results = resumed.run_results(specs)
-        report = resumed.consume_report()
-        assert report["cached"] == len(specs) - 1
-        assert report["executed"] == 1
-        assert [r if isinstance(r, dict) else r.name for r in results]
+        rerun = ExperimentPool(jobs=1, cache_dir=str(cache))
+        assert rerun.run_results(specs) == first
+        assert rerun.consume_report() == {"cached": len(specs)}
 
-        # The resumed pool terminated the torn line before appending, so
-        # a third resume sees every run recorded ok and executes nothing.
-        third = ExperimentPool(
-            jobs=1, cache_dir=str(cache), cache=False, resume=True
-        )
-        third.run_results(specs)
-        final = third.consume_report()
-        assert final["cached"] == len(specs)
-        assert "executed" not in final
-
-    def test_resume_without_manifest_runs_everything(self, tmp_path):
-        pool = ExperimentPool(
-            jobs=1, cache_dir=str(tmp_path / "cache"), cache=False, resume=True
-        )
-        pool.run_results(_cheap_specs()[:2])
-        assert pool.consume_report()["executed"] == 2
+    def test_no_cache_rerun_executes_everything(self, tmp_path):
+        """A ``cache=False`` sweep writes no entries, so its rerun executes
+        every run again, though the manifest records each one ok."""
+        cache = tmp_path / "cache"
+        specs = _cheap_specs()[:2]
+        ExperimentPool(jobs=1, cache_dir=str(cache), cache=False).run_results(specs)
+        rerun = ExperimentPool(jobs=1, cache_dir=str(cache), cache=False)
+        rerun.run_results(specs)
+        assert rerun.consume_report() == {"executed": len(specs)}
+        entries = [
+            json.loads(line)
+            for line in (cache / "manifest.jsonl").read_text().splitlines()
+        ]
+        assert [e["status"] for e in entries] == ["ok"] * 2 * len(specs)
 
 
 class TestFailurePolicy:

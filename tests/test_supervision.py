@@ -1,5 +1,5 @@
 """Host-side supervision: retries, deadlines, hangs, cache integrity,
-fsynced manifests, and SIGINT interrupt-and-resume.
+fsynced manifests, and SIGINT interrupt-and-rerun.
 
 These tests drive real worker processes (the ``local-process``
 backend) through induced failures -- self-SIGKILLed workers, blown
@@ -56,7 +56,6 @@ def _supervised_pool(cache_dir, **kwargs):
     kwargs.setdefault("jobs", 2)
     kwargs.setdefault("backend", "local-process")
     kwargs.setdefault("retry", _FAST_RETRY)
-    kwargs.setdefault("progress", False)
     return ExperimentPool(cache_dir=str(cache_dir), **kwargs)
 
 
@@ -175,29 +174,37 @@ class TestDispatchErrors:
 
 
 class TestBackendSelection:
-    def test_single_pending_run_with_deadline_gets_process_backend(self, tmp_path):
-        for backend in (None, "auto"):  # an explicit "auto" is the default
-            pool = ExperimentPool(
-                jobs=4,
-                cache_dir=str(tmp_path / "c"),
-                run_timeout=30.0,
-                progress=False,
-                backend=backend,
-            )
-            job = pool._job(
-                RunSpec(_SLOW, {"tag": "x", "seconds": 0.0}, "sel/x"), "0" * 64
-            )
-            assert pool._backend_for([job]).name == "local-process"
+    """A batch runs inline only when one job at a time is all there is
+    and nothing needs a job killed; ``jobs=1`` is no exception."""
 
-    def test_single_pending_run_without_supervision_stays_inline(self, tmp_path):
-        for backend in (None, "auto"):  # an explicit "auto" is the default
-            pool = ExperimentPool(
-                jobs=4, cache_dir=None, progress=False, backend=backend
-            )
-            job = pool._job(
-                RunSpec(_SLOW, {"tag": "x", "seconds": 0.0}, "sel/y"), "0" * 64
-            )
-            assert pool._backend_for([job]).name == "local-inline"
+    @staticmethod
+    def _choice(jobs, pending=1, **kwargs):
+        pool = ExperimentPool(jobs=jobs, **kwargs)
+        batch = [
+            pool._job(RunSpec(_SLOW, {"tag": i}, f"sel/{i}"), str(i) * 64)
+            for i in range(pending)
+        ]
+        return pool._backend_for(batch).name
+
+    def test_single_pending_run_with_deadline_gets_process_backend(self, tmp_path):
+        for jobs in (1, 4):
+            choice = self._choice(jobs, cache_dir=str(tmp_path), run_timeout=30.0)
+            assert choice == "local-process"
+
+    def test_single_pending_run_with_hang_detection_gets_process_backend(
+        self, tmp_path
+    ):
+        for jobs in (1, 4):
+            choice = self._choice(jobs, cache_dir=str(tmp_path), heartbeat_interval=0.1)
+            assert choice == "local-process"
+
+    def test_single_pending_run_without_supervision_stays_inline(self):
+        for jobs in (1, 4):
+            assert self._choice(jobs, cache_dir=None) == "local-inline"
+
+    def test_batch_without_supervision_is_inline_only_for_one_job(self):
+        assert self._choice(1, pending=2, cache_dir=None) == "local-inline"
+        assert self._choice(4, pending=2, cache_dir=None) == "local-process"
 
     def test_backoff_poll_timeout_is_capped(self, tmp_path):
         pool = _supervised_pool(tmp_path / "cache")
@@ -221,15 +228,16 @@ class TestDeadlines:
         [entry] = _read_manifest(str(cache))
         assert entry["attempts"] == 2
 
-    def test_spec_deadline_overrides_pool_default(self, tmp_path):
-        pool = _supervised_pool(
-            tmp_path / "cache",
-            run_timeout=60.0,
+    def test_deadline_kills_a_jobs1_run(self, tmp_path):
+        # jobs=1 is no exception: the deadline sends the run to a worker
+        # process, and the pool kills it when the deadline passes.
+        pool = ExperimentPool(
+            jobs=1,
+            cache_dir=str(tmp_path / "cache"),
+            run_timeout=0.3,
             retry=RetryPolicy(max_attempts=1),
         )
-        spec = RunSpec(
-            _SLOW, {"tag": "late", "seconds": 30.0}, "sup/late", deadline_s=0.3
-        )
+        spec = RunSpec(_SLOW, {"tag": "late", "seconds": 30.0}, "sup/late")
         started = time.monotonic()
         with pytest.raises(IncompleteSweepError):
             pool.run_results([spec])
@@ -237,12 +245,6 @@ class TestDeadlines:
         [failure] = pool.failures
         assert failure["error"]["type"] == "RunTimeout"
         assert "deadline" in failure["error"]["message"]
-
-    def test_deadline_excluded_from_content_hash(self):
-        spec = RunSpec(_SLOW, {"tag": "x"}, "l")
-        assert spec_hash(spec) == spec_hash(
-            RunSpec(_SLOW, {"tag": "x"}, "l", deadline_s=5.0)
-        )
 
     def test_bad_run_timeout_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="run_timeout"):
@@ -437,8 +439,9 @@ class TestManifestDurability:
         manifest = os.path.join(cache, "manifest.jsonl")
         with open(manifest, "a") as handle:
             handle.write('{"hash": "feedface", "status": "o')  # kill mid-append
-        pool = ExperimentPool(jobs=1, cache_dir=cache, resume=True)
+        pool = ExperimentPool(jobs=1, cache_dir=cache)
         pool.run([spec_a, spec_b])
+        assert pool.consume_report() == {"cached": 1, "executed": 1}
         # The torn fragment got newline-terminated (healed), so every
         # *subsequent* append is a clean line of its own.
         parsed, junk = [], 0
@@ -451,12 +454,8 @@ class TestManifestDurability:
                 except ValueError:
                     junk += 1
         assert junk == 1  # only the torn fragment itself is lost
-        assert [e["label"] for e in parsed] == [
-            "sup/torn-a",
-            "sup/torn-a",
-            "sup/torn-b",
-        ]
-        assert parsed[1]["cached"] is True  # resume served it from cache
+        # torn-a came from the cache, which journals nothing
+        assert [e["label"] for e in parsed] == ["sup/torn-a", "sup/torn-b"]
 
 
 class TestHeartbeatHygiene:
@@ -513,8 +512,8 @@ class TestHeartbeatHygiene:
             RunSpec(_SLOW, {"tag": i, "seconds": 0.0}, f"sup/nomf-{i}")
             for i in range(2)
         ]
-        pool = _supervised_pool(cache, heartbeat_interval=0.05)
         monkeypatch.setattr(monitor, "read_manifest", _forbidden)
+        pool = _supervised_pool(cache, heartbeat_interval=0.05)
         pool.run_results(specs)  # cold
         pool.run_results(specs)  # memoized
         rerun = _supervised_pool(cache, heartbeat_interval=0.05)
@@ -551,13 +550,11 @@ slow = [
     )
     for i in range(2)
 ]
-pool = ExperimentPool(
-    jobs=4, cache_dir=cache, heartbeat_interval=0.2, progress=False
-)
+pool = ExperimentPool(jobs=4, cache_dir=cache, heartbeat_interval=0.2)
 try:
     pool.run(fast + slow)
 except SweepInterrupted as exc:
-    assert "--resume" in str(exc)
+    assert "rerun the same command" in str(exc)
     print("interrupted-ok", flush=True)
     sys.exit(130)
 sys.exit(0)
@@ -632,12 +629,12 @@ class TestInterruptAndResume:
         # Killed on purpose, so not left for `status` to call stale.
         assert [path for path in killed_beats if os.path.exists(path)] == []
 
-        # -- resume: finished runs come from cache, killed runs rerun --
+        # -- rerun: finished runs come from cache, killed runs execute --
         import repro.experiments.ablations as ablations
         import tests.obs_helpers as obs_helpers
 
         def _sim_forbidden(**kwargs):
-            raise AssertionError("finished run was re-executed on resume")
+            raise AssertionError("finished run was re-executed on rerun")
 
         monkeypatch.setattr(ablations, "compaction_point", _sim_forbidden)
         monkeypatch.setattr(ablations, "mc_cache_point", _sim_forbidden)
@@ -667,7 +664,7 @@ class TestInterruptAndResume:
             )
             for i in range(2)
         ]
-        pool = ExperimentPool(jobs=1, cache_dir=cache, resume=True, progress=False)
+        pool = ExperimentPool(jobs=1, cache_dir=cache)
         results = pool.run_results(fast + slow)
         assert len(results) == 6
         assert results[4] == {"tag": "slow-0"} and results[5] == {"tag": "slow-1"}
@@ -679,7 +676,7 @@ class TestInterruptAndResume:
         exc = SweepInterrupted("SIGINT", 3, 7)
         assert "SIGINT" in str(exc)
         assert "3/7" in str(exc)
-        assert "--resume" in str(exc)
+        assert "rerun the same command to resume" in str(exc)
 
 
 class TestSupervisionSummary:
